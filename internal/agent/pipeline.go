@@ -296,7 +296,12 @@ func (p *pipeline) addHashed(c chunk.Chunk) error {
 // lookup stage's input channels and closes them on the way out.
 func (p *pipeline) collect() {
 	defer close(p.collectDone)
-	for job := range p.hashOrder {
+	flush := p.dispatchLookup
+	for {
+		job, ok := recvOrFlush(p.hashOrder, p.a.sched.budget, p.cur != nil, flush)
+		if !ok {
+			break
+		}
 		<-job.done
 		c := job.c
 		job.c = chunk.Chunk{}
@@ -340,6 +345,33 @@ func (p *pipeline) collect() {
 	close(p.lookupOrder)
 }
 
+// recvOrFlush receives a batching stage's next input. Before it blocks
+// on an empty channel while the stage holds a partial batch, it also
+// watches the byte budget: a batched chunk keeps its bytes until the
+// batch moves on, so with admission starved every chunker (this
+// stream's included) can wait on bytes parked in partial batches that
+// only a full batch would send. A starved budget sends the partial
+// batch instead.
+func recvOrFlush[T any](ch <-chan T, b *byteBudget, partial bool, flush func()) (T, bool) {
+	select {
+	case v, ok := <-ch:
+		return v, ok
+	default:
+	}
+	var starved <-chan struct{}
+	if partial {
+		starved = b.starvation()
+	}
+	select {
+	case v, ok := <-ch:
+		return v, ok
+	case <-starved:
+		flush()
+		v, ok := <-ch
+		return v, ok
+	}
+}
+
 // dispatchLookup hands the accumulating batch to the shared lookup
 // pool, keeping at most LookupInflight of this stream's batches in
 // flight (the order channel's capacity provides the backpressure).
@@ -368,7 +400,12 @@ func putLookupJob(job *lookupJob) {
 // channel and closes it on the way out.
 func (p *pipeline) route() {
 	defer close(p.routeDone)
-	for job := range p.lookupOrder {
+	flush := p.queueUpload
+	for {
+		job, ok := recvOrFlush(p.lookupOrder, p.a.sched.budget, len(p.pendingUpload) > 0, flush)
+		if !ok {
+			break
+		}
 		<-job.done
 		switch {
 		case job.err != nil:

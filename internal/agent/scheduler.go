@@ -260,6 +260,7 @@ type byteBudget struct {
 	total   int64
 	used    int64
 	waiters []*budgetWaiter
+	starved chan struct{} // closed while waiters queue; replaced when they drain
 	met     *agentMetrics
 }
 
@@ -274,7 +275,20 @@ func newByteBudget(total int64, met *agentMetrics) *byteBudget {
 	if total <= 0 {
 		return nil
 	}
-	return &byteBudget{total: total, met: met}
+	return &byteBudget{total: total, starved: make(chan struct{}), met: met}
+}
+
+// starvation returns a channel that is closed once admission has
+// waiters. A caller holding a channel from before the waiters drained
+// sees it closed too, so checking and then blocking loses no wake-up.
+// A disabled budget returns nil, which never becomes ready.
+func (b *byteBudget) starvation() <-chan struct{} {
+	if b == nil {
+		return nil
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.starved
 }
 
 // acquire blocks until n bytes fit. Requests larger than the whole
@@ -294,6 +308,9 @@ func (b *byteBudget) acquire(n int64) {
 	// Queue behind earlier waiters even if n would fit: barging would
 	// starve waiting large requests behind a stream of small ones.
 	w := &budgetWaiter{n: n, ch: make(chan struct{})}
+	if len(b.waiters) == 0 {
+		close(b.starved)
+	}
 	b.waiters = append(b.waiters, w)
 	b.mu.Unlock()
 	<-w.ch // the releaser accounted our bytes before closing
@@ -308,12 +325,16 @@ func (b *byteBudget) release(n int64) {
 	n = min(n, b.total) // mirror acquire's clamp
 	b.mu.Lock()
 	b.used -= n
+	queued := len(b.waiters) > 0
 	for len(b.waiters) > 0 && b.used+b.waiters[0].n <= b.total {
 		w := b.waiters[0]
 		b.waiters[0] = nil
 		b.waiters = b.waiters[1:]
 		b.used += w.n
 		close(w.ch)
+	}
+	if queued && len(b.waiters) == 0 {
+		b.starved = make(chan struct{})
 	}
 	b.met.arenaInuse.Set(b.used)
 	b.mu.Unlock()

@@ -389,3 +389,38 @@ func TestConcurrentCancellation(t *testing.T) {
 		}
 	}
 }
+
+// TestBudgetSmallerThanLookupBatchMakesProgress: when the byte budget
+// holds fewer chunks than one lookup batch, the admitted chunks sit in
+// a partial lookup batch (and, being fresh, then a partial upload
+// batch) while the chunker waits for their bytes. Both stages must send
+// their partial batch rather than wait for a full one, or the stream
+// never finishes. The same hold-and-wait across several streams hung
+// TestConcurrentStreamsEquivalence under load.
+func TestBudgetSmallerThanLookupBatchMakesProgress(t *testing.T) {
+	tb := newTestbed(t, 3)
+	a, err := New(Config{
+		Name: "tight", Mode: ModeRing,
+		Index: tb.ringIndex(t, 0), Cloud: tb.cloudClient(t),
+		Chunker:          smallGear(t),
+		ArenaBudgetBytes: 2 << 10, // a handful of chunks; LookupBatch is 32
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, 64<<10)
+	rand.New(rand.NewSource(5)).Read(data)
+	done := make(chan error, 1)
+	go func() {
+		_, err := a.ProcessBytes(context.Background(), "tight", data)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(20 * time.Second):
+		t.Fatal("stream stalled: admission waits on bytes parked in a partial lookup batch")
+	}
+}

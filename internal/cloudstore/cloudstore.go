@@ -14,8 +14,9 @@
 // Manifests map a file name to its chunk sequence so any stored stream
 // can be restored and verified end to end. On the read side, fresh
 // chunks are packed in upload order into locality-preserving containers
-// (container.go); restores fetch whole containers through a read-ahead
-// cache instead of one RPC per chunk.
+// (container.go); a restore makes one RPC per container it touches,
+// fetching only the records it needs through a read-ahead cache,
+// instead of one RPC per chunk.
 package cloudstore
 
 import (
@@ -521,14 +522,17 @@ func (s *Server) handleGetRecipe(body []byte) ([]byte, error) {
 	return encodeRecipe(entries), nil
 }
 
-// getcontainer body: u64 container ID; response: the container's raw
-// CRC-framed bytes. One RPC returns every chunk the container packs —
-// the batched unit of the restore path.
+// getcontainer body: u64 container | u32 count | (u32 offset | u32
+// length)*; response: the bytes of each span, concatenated. Restores ask
+// for the spans of the whole records they need, so one RPC per
+// container returns every needed chunk with its CRC frame. Spans that
+// are unsorted, overlapping or past the container end are ErrProto.
 func (s *Server) handleGetContainer(body []byte) ([]byte, error) {
-	if len(body) != 8 {
-		return nil, fmt.Errorf("%w: bad container ID length", ErrProto)
+	id, spans, err := decodeRangeList(body)
+	if err != nil {
+		return nil, err
 	}
-	return s.containers.containerBytes(binary.BigEndian.Uint64(body))
+	return s.containers.readRanges(id, spans)
 }
 
 // putmanifest body: u16 name length | name | (32-byte ID)*.

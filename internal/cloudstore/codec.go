@@ -11,6 +11,7 @@ package cloudstore
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"efdedup/internal/chunk"
 )
@@ -170,7 +171,10 @@ func encodeRecipe(entries []RecipeEntry) []byte {
 }
 
 // decodeRecipe parses a getrecipe response; the body must hold exactly
-// count records.
+// count records. A sealed locator (nonzero container) must address a
+// payload behind the container magic and a record header, and must end
+// inside the uint32 offset space: restores read the record span
+// [Offset-containerRecordHeader, Offset+Length).
 func decodeRecipe(body []byte) ([]RecipeEntry, error) {
 	if len(body) < 4 {
 		return nil, fmt.Errorf("%w: truncated recipe", ErrProto)
@@ -188,14 +192,56 @@ func decodeRecipe(body []byte) ([]RecipeEntry, error) {
 		out[i].Loc.Offset = binary.BigEndian.Uint32(src[chunk.IDSize+8:])
 		out[i].Loc.Length = binary.BigEndian.Uint32(src[chunk.IDSize+12:])
 		src = src[rec:]
+		if l := out[i].Loc; l.Container != 0 &&
+			(l.Offset < minPayloadOffset || uint64(l.Offset)+uint64(l.Length) > math.MaxUint32) {
+			return nil, fmt.Errorf("%w: recipe entry %d locator %d+%d is not a container record", ErrProto, i, l.Offset, l.Length)
+		}
 	}
 	return out, nil
+}
+
+// encodeRangeList builds a getcontainer request: u64 container | u32
+// count | per span: u32 offset | u32 length. The spans' own Container
+// fields are not sent.
+func encodeRangeList(container uint64, spans []Locator) []byte {
+	out := make([]byte, 0, 12+len(spans)*8)
+	out = binary.BigEndian.AppendUint64(out, container)
+	out = binary.BigEndian.AppendUint32(out, uint32(len(spans)))
+	for _, sp := range spans {
+		out = binary.BigEndian.AppendUint32(out, sp.Offset)
+		out = binary.BigEndian.AppendUint32(out, sp.Length)
+	}
+	return out
+}
+
+// decodeRangeList parses a getcontainer request; the body must hold
+// exactly count spans. The server checks them against the container.
+func decodeRangeList(body []byte) (uint64, []Locator, error) {
+	if len(body) < 12 {
+		return 0, nil, fmt.Errorf("%w: truncated range list", ErrProto)
+	}
+	container := binary.BigEndian.Uint64(body)
+	count := binary.BigEndian.Uint32(body[8:])
+	src := body[12:]
+	if uint64(len(src)) != uint64(count)*8 {
+		return 0, nil, fmt.Errorf("%w: range list of %d bytes does not hold %d ranges", ErrProto, len(src), count)
+	}
+	out := make([]Locator, count)
+	for i := range out {
+		out[i] = Locator{Container: container, Offset: binary.BigEndian.Uint32(src), Length: binary.BigEndian.Uint32(src[4:])}
+		src = src[8:]
+	}
+	return container, out, nil
 }
 
 // encodeChunkData builds a getchunks response: (u32 len | payload)* in
 // request order. The count travels in the request, not the response.
 func encodeChunkData(payloads [][]byte) []byte {
-	var out []byte
+	n := 0
+	for _, data := range payloads {
+		n += 4 + len(data)
+	}
+	out := make([]byte, 0, n)
 	for _, data := range payloads {
 		out = binary.BigEndian.AppendUint32(out, uint32(len(data)))
 		out = append(out, data...)

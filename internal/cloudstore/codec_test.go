@@ -148,6 +148,64 @@ func TestRecipeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRecipeRejectsNonRecordLocators: a sealed locator must address a
+// payload behind the magic and a record header without wrapping uint32,
+// or restore span planning (Offset-header, Offset+Length) would wrap.
+func TestRecipeRejectsNonRecordLocators(t *testing.T) {
+	id := chunk.Sum([]byte("loc"))
+	cases := []struct {
+		name string
+		loc  Locator
+		ok   bool
+	}{
+		{"offset zero", Locator{Container: 1, Offset: 0, Length: 4}, false},
+		{"offset inside the header", Locator{Container: 1, Offset: containerRecordHeader - 1, Length: 4}, false},
+		{"offset inside the first header", Locator{Container: 1, Offset: minPayloadOffset - 1, Length: 4}, false},
+		{"end wraps uint32", Locator{Container: 1, Offset: 1 << 31, Length: 1 << 31}, false},
+		{"end wraps by one", Locator{Container: 1, Offset: 0xFFFFFFFF, Length: 1}, false},
+		{"first payload", Locator{Container: 1, Offset: minPayloadOffset, Length: 4}, true},
+		{"end at uint32 max", Locator{Container: 1, Offset: 0xFFFFFFF0, Length: 0xF}, true},
+		{"fallback entry", Locator{}, true},
+	}
+	for _, tc := range cases {
+		in := []RecipeEntry{{ID: id, Loc: Locator{Container: 2, Offset: 100, Length: 8}}, {ID: id, Loc: tc.loc}}
+		out, err := decodeRecipe(encodeRecipe(in))
+		if tc.ok {
+			if err != nil || out[1] != in[1] {
+				t.Errorf("%s: decode = %v, %v; want the entry back", tc.name, out, err)
+			}
+		} else if !errors.Is(err, ErrProto) {
+			t.Errorf("%s: err = %v, want ErrProto", tc.name, err)
+		}
+	}
+}
+
+func TestRangeListRoundTrip(t *testing.T) {
+	in := []Locator{{Container: 9, Offset: 8, Length: 48}, {Container: 9, Offset: 4096, Length: 0xFFFF}}
+	id, out, err := decodeRangeList(encodeRangeList(9, in))
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if id != 9 || len(out) != 2 || out[0] != in[0] || out[1] != in[1] {
+		t.Fatalf("round trip mutated the ranges: %d %v", id, out)
+	}
+	if _, out, err := decodeRangeList(encodeRangeList(3, nil)); err != nil || len(out) != 0 {
+		t.Fatalf("empty range list = %v, %v", out, err)
+	}
+	body := encodeRangeList(9, in)
+	hostile := binary.BigEndian.AppendUint32(binary.BigEndian.AppendUint64(nil, 9), 0xFFFFFFFF)
+	for name, b := range map[string][]byte{
+		"short header":  body[:11],
+		"hostile count": hostile,
+		"truncated":     body[:len(body)-1],
+		"trailing":      append(body, 0),
+	} {
+		if _, _, err := decodeRangeList(b); !errors.Is(err, ErrProto) {
+			t.Errorf("%s: err = %v, want ErrProto", name, err)
+		}
+	}
+}
+
 func TestChunkDataRoundTrip(t *testing.T) {
 	in := [][]byte{[]byte("one"), nil, []byte("three")}
 	out, err := decodeChunkData(encodeChunkData(in), len(in))

@@ -9,9 +9,10 @@ package cloudstore
 // container-store designs surveyed in the fragmentation literature
 // (partial repetition / container capping), chunks are additionally
 // packed — in upload order, which is stream order — into fixed-target
-// containers. A restore then fetches whole containers (one RPC, one
-// sequential read each) and the number of containers a stream touches
-// becomes the fragmentation measure.
+// containers. A restore then makes one RPC per container it touches,
+// asking only for the byte spans of the records it needs (one open and
+// one positioned read per span on disk), and the number of containers a
+// stream touches becomes the fragmentation measure.
 //
 // Container format (file "<root>/containers/<%016x>.cont", or an
 // in-memory byte slice for Dir-less servers):
@@ -21,9 +22,9 @@ package cloudstore
 //
 // Records are CRC-framed so a torn or bit-flipped container is detected
 // at parse time, and every payload is still content-addressed by its
-// chunk ID, so readers can verify end to end. Container files are
-// installed with the same write-temp → fsync → rename → dir-fsync
-// protocol as kvstore snapshots.
+// chunk ID, so readers can verify end to end, also from a range read of
+// whole records. Container files are installed with the same write-temp
+// → fsync → rename → dir-fsync protocol as kvstore snapshots.
 //
 // Durability protocol: a chunk is acknowledged once its flat chunk file
 // is durable (storeChunk). The open container is memory only; when it
@@ -44,8 +45,10 @@ package cloudstore
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"sync"
 
 	"efdedup/internal/chunk"
@@ -66,13 +69,18 @@ const (
 )
 
 // containerMagic identifies a container file and its format version.
-var containerMagic = []byte("EFCONT1\n")
+const containerMagic = "EFCONT1\n"
 
 // containerRecordHeader is the per-record framing overhead.
 const containerRecordHeader = chunk.IDSize + 8
 
+// minPayloadOffset is the smallest payload offset a container can hold:
+// the first record's payload, behind the magic and its header.
+const minPayloadOffset = uint32(len(containerMagic) + containerRecordHeader)
+
 // Locator addresses one chunk copy inside a sealed container: the
 // container ID plus the payload's byte range within the container.
+// Range reads reuse it to name any byte span of a container.
 type Locator struct {
 	Container uint64
 	Offset    uint32
@@ -95,10 +103,17 @@ func appendContainerRecord(buf []byte, id chunk.ID, data []byte) ([]byte, uint32
 // framing or CRC damage is ErrCorrupt: containers are installed
 // atomically, so damage is real, not a crash artifact.
 func parseContainer(data []byte, fn func(id chunk.ID, off uint32, payload []byte) error) error {
-	if len(data) < len(containerMagic) || !bytes.Equal(data[:len(containerMagic)], containerMagic) {
+	if !bytes.HasPrefix(data, []byte(containerMagic)) {
 		return fmt.Errorf("%w: container missing magic", ErrCorrupt)
 	}
-	off := len(containerMagic)
+	return walkRecords(data, len(containerMagic), fn)
+}
+
+// walkRecords is parseContainer's record loop: it walks the records
+// that fill data from off to the end, verifying framing and CRCs, and
+// passes fn each payload with its offset in data. Restores walk a
+// range-read reply, which is whole records back to back, with off 0.
+func walkRecords(data []byte, off int, fn func(id chunk.ID, off uint32, payload []byte) error) error {
 	for off < len(data) {
 		if len(data)-off < containerRecordHeader {
 			return fmt.Errorf("%w: truncated container record header at offset %d", ErrCorrupt, off)
@@ -121,6 +136,30 @@ func parseContainer(data []byte, fn func(id chunk.ID, off uint32, payload []byte
 		off += int(n)
 	}
 	return nil
+}
+
+// readSpans range-reads r, a container of size bytes: the bytes of each
+// span, concatenated. Spans must be sorted, disjoint and inside the
+// container, which also caps the reply at the container size; anything
+// else is ErrProto, before the reply is allocated.
+func readSpans(r io.ReaderAt, size int64, spans []Locator) ([]byte, error) {
+	var prevEnd, total uint64
+	for i, sp := range spans {
+		end := uint64(sp.Offset) + uint64(sp.Length)
+		if uint64(sp.Offset) < prevEnd || end > uint64(size) {
+			return nil, fmt.Errorf("%w: range %d [%d, %d) is unsorted, overlapping or past the container end %d", ErrProto, i, sp.Offset, end, size)
+		}
+		prevEnd, total = end, total+uint64(sp.Length)
+	}
+	out := make([]byte, total)
+	pos := 0
+	for _, sp := range spans {
+		if n, err := r.ReadAt(out[pos:pos+int(sp.Length)], int64(sp.Offset)); n < int(sp.Length) {
+			return nil, err
+		}
+		pos += int(sp.Length)
+	}
+	return out, nil
 }
 
 // containerStore is the append-side container writer plus the locator
@@ -289,10 +328,11 @@ func (cs *containerStore) locate(id chunk.ID) (Locator, bool) {
 	return l, ok
 }
 
-// containerBytes returns a sealed container's raw bytes.
-func (cs *containerStore) containerBytes(id uint64) ([]byte, error) {
+// readRanges serves a range read of a sealed container (see readSpans).
+// A single span of an in-memory container is a zero-copy sub-slice.
+func (cs *containerStore) readRanges(id uint64, spans []Locator) ([]byte, error) {
 	if cs.disk != nil {
-		return cs.disk.GetContainer(id)
+		return cs.disk.ReadContainerRanges(id, spans)
 	}
 	cs.mu.Lock()
 	data, ok := cs.sealed[id]
@@ -300,7 +340,11 @@ func (cs *containerStore) containerBytes(id uint64) ([]byte, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: container %d", ErrNotFound, id)
 	}
-	return data, nil
+	if len(spans) == 1 && uint64(spans[0].Offset)+uint64(spans[0].Length) <= uint64(len(data)) {
+		end := spans[0].Offset + spans[0].Length
+		return data[spans[0].Offset:end:end], nil
+	}
+	return readSpans(bytes.NewReader(data), int64(len(data)), spans)
 }
 
 // readChunk serves one chunk payload from its sealed container copy,
@@ -310,21 +354,14 @@ func (cs *containerStore) readChunk(id chunk.ID) ([]byte, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	var payload []byte
-	if cs.disk != nil {
-		data, err := cs.disk.ReadContainerRange(loc.Container, int64(loc.Offset), int(loc.Length))
-		if err != nil {
-			return nil, err
-		}
-		payload = data
-	} else {
-		cs.mu.Lock()
-		data, ok := cs.sealed[loc.Container]
-		cs.mu.Unlock()
-		if !ok || uint64(len(data)) < uint64(loc.Offset)+uint64(loc.Length) {
-			return nil, fmt.Errorf("%w: container %d lost", ErrCorrupt, loc.Container)
-		}
-		payload = data[loc.Offset : loc.Offset+loc.Length]
+	payload, err := cs.readRanges(loc.Container, []Locator{loc})
+	if errors.Is(err, ErrProto) {
+		// The locator is the server's own, so a span past the end
+		// means the container file lost bytes.
+		return nil, fmt.Errorf("%w: container %d truncated", ErrCorrupt, loc.Container)
+	}
+	if err != nil {
+		return nil, err
 	}
 	if chunk.Sum(payload) != id {
 		return nil, fmt.Errorf("%w: chunk %s corrupt in container %d", ErrCorrupt, id, loc.Container)

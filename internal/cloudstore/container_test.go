@@ -330,3 +330,57 @@ func TestRestoreNamesCorruptStagedChunk(t *testing.T) {
 		t.Fatalf("restore over corrupt staged chunk = %v, want ErrCorrupt", err)
 	}
 }
+
+// TestGetContainerRangeChecks drives the getcontainer handler with range
+// lists against one sealed container, in memory and on disk: valid
+// spans come back concatenated, and every malformed list is ErrProto
+// before any reply is sized (a 4 GiB span must not be allocated).
+func TestGetContainerRangeChecks(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		srv, err := NewServer(Config{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var raw []byte
+		for i := 0; i < 3; i++ {
+			id, data := mkPayload(int64(700+i), 100)
+			srv.storeChunk(id, data)
+			raw, _ = appendContainerRecord(raw, id, data)
+		}
+		srv.FlushContainers()
+		raw = append([]byte(containerMagic), raw...)
+		size := uint32(len(raw))
+
+		get := func(spans ...Locator) ([]byte, error) {
+			return srv.handleGetContainer(encodeRangeList(1, spans))
+		}
+		got, err := get(Locator{Offset: 8, Length: 140}, Locator{Offset: 288, Length: 20})
+		if err != nil || !bytes.Equal(got, append(raw[8:148:148], raw[288:308]...)) {
+			t.Fatalf("dir=%q: two spans = %v, %v", dir, got, err)
+		}
+		if got, err := get(Locator{Offset: 0, Length: size}); err != nil || !bytes.Equal(got, raw) {
+			t.Fatalf("dir=%q: whole container = %v, %v", dir, got, err)
+		}
+		if got, err := get(Locator{Offset: 8, Length: 40}, Locator{Offset: size, Length: 0}); err != nil || !bytes.Equal(got, raw[8:48]) {
+			t.Fatalf("dir=%q: empty span at the end = %v, %v", dir, got, err)
+		}
+		bad := map[string][]Locator{
+			"past the end":  {{Offset: size - 4, Length: 8}},
+			"4 GiB span":    {{Offset: 0, Length: 0xFFFFFFFF}},
+			"end wraps":     {{Offset: 0xFFFFFFFF, Length: 2}},
+			"unsorted":      {{Offset: 200, Length: 10}, {Offset: 100, Length: 10}},
+			"overlapping":   {{Offset: 100, Length: 20}, {Offset: 110, Length: 20}},
+			"total > size":  {{Offset: 0, Length: size}, {Offset: 0, Length: size}},
+			"repeated span": {{Offset: 8, Length: 40}, {Offset: 8, Length: 40}},
+		}
+		for name, spans := range bad {
+			if _, err := get(spans...); !errors.Is(err, ErrProto) {
+				t.Errorf("dir=%q: %s: err = %v, want ErrProto", dir, name, err)
+			}
+		}
+		if _, err := srv.handleGetContainer(encodeRangeList(2, []Locator{{Offset: 0, Length: 1}})); !errors.Is(err, ErrNotFound) {
+			t.Errorf("dir=%q: unknown container: err = %v, want ErrNotFound", dir, err)
+		}
+		srv.Close()
+	}
+}

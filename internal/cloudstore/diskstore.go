@@ -3,7 +3,6 @@ package cloudstore
 import (
 	"encoding/hex"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -170,18 +169,9 @@ func (d *DiskStore) PutContainer(id uint64, data []byte) error {
 	return writeAtomic(d.containerPath(id), data)
 }
 
-// GetContainer reads a sealed container's raw bytes.
-func (d *DiskStore) GetContainer(id uint64) ([]byte, error) {
-	data, err := os.ReadFile(d.containerPath(id))
-	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("%w: container %d", ErrNotFound, id)
-	}
-	return data, err
-}
-
-// ReadContainerRange reads one payload range out of a sealed container
-// (a single chunk served without loading the whole container).
-func (d *DiskStore) ReadContainerRange(id uint64, off int64, n int) ([]byte, error) {
+// ReadContainerRanges range-reads a sealed container (see readSpans),
+// opening the file once and reading each span at its offset.
+func (d *DiskStore) ReadContainerRanges(id uint64, spans []Locator) ([]byte, error) {
 	f, err := os.Open(d.containerPath(id))
 	if os.IsNotExist(err) {
 		return nil, fmt.Errorf("%w: container %d", ErrNotFound, id)
@@ -190,14 +180,11 @@ func (d *DiskStore) ReadContainerRange(id uint64, off int64, n int) ([]byte, err
 		return nil, err
 	}
 	defer f.Close()
-	buf := make([]byte, n)
-	if _, err := f.ReadAt(buf, off); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("%w: container %d truncated", ErrCorrupt, id)
-		}
+	info, err := f.Stat()
+	if err != nil {
 		return nil, err
 	}
-	return buf, nil
+	return readSpans(f, info.Size(), spans)
 }
 
 // PutManifest stores a file's chunk sequence.

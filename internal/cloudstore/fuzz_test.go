@@ -16,12 +16,19 @@ func FuzzHandlers(f *testing.F) {
 	id, data := mkPayload(1, 64)
 	valid := append(append([]byte{}, id[:]...), data...)
 	f.Add(valid)
+	// Range reads against the sealed container 1 below: past the end,
+	// overlapping, and a span whose end wraps uint32.
+	f.Add(encodeRangeList(1, []Locator{{Offset: 0, Length: 0xFFFFFFFF}}))
+	f.Add(encodeRangeList(1, []Locator{{Offset: 8, Length: 40}, {Offset: 20, Length: 4}}))
+	f.Add(encodeRangeList(1, []Locator{{Offset: 0xFFFFFFF0, Length: 0x20}}))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		srv, err := NewServer(Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer srv.Close()
+		srv.storeChunk(id, data)
+		srv.FlushContainers()
 		handlers := []func([]byte) ([]byte, error){
 			srv.handleUpload,
 			srv.handleBatchUpload,
@@ -56,6 +63,8 @@ func FuzzCloudCodecs(f *testing.F) {
 	f.Add(encodeManifestIDs([]chunk.ID{ck.ID}))
 	f.Add(encodeRecipe([]RecipeEntry{{ID: ck.ID, Loc: Locator{Container: 1, Offset: 2, Length: 3}}}))
 	f.Add(encodeChunkData([][]byte{[]byte("one"), []byte("two")}))
+	f.Add(encodeRangeList(1, []Locator{{Offset: 8, Length: 44}, {Offset: 52, Length: 40}}))
+	f.Add(encodeRecipe([]RecipeEntry{{ID: ck.ID, Loc: Locator{Container: 1, Offset: 0xFFFFFFFF, Length: 2}}}))
 	f.Add(encodeStats(Stats{UniqueChunks: 1}))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}) // hostile count prefix
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -79,6 +88,8 @@ func FuzzCloudCodecs(f *testing.F) {
 		check("decodeRecipe", err)
 		_, err = decodeChunkData(data, 3)
 		check("decodeChunkData", err)
+		_, _, err = decodeRangeList(data)
+		check("decodeRangeList", err)
 		_, err = decodeStats(data)
 		check("decodeStats", err)
 	})

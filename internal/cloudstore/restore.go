@@ -10,23 +10,29 @@ package cloudstore
 //  2. groups consecutive recipe entries into runs — chunks that live in
 //     the same sealed container, or locator-less chunks batched for the
 //     getchunks fallback,
-//  3. fans the runs out to ReadAhead parallel fetchers that pull whole
-//     containers through a shared LRU cache (in-flight entries are
-//     pinned and deduplicated, so two runs touching one container cost
-//     one RPC),
-//  4. reassembles strictly in stream order into the caller's io.Writer,
-//     using the PR 5 FIFO + done-token ordered fan-out pattern.
+//  3. plans, per touched container, the sorted record spans
+//     [Offset-containerRecordHeader, Offset+Length) of its distinct
+//     locators, merging only spans that touch or repeat,
+//  4. fans the runs out to ReadAhead parallel fetchers that pull each
+//     container's spans in one cloud.getcontainer RPC — the RPC count
+//     of whole-container reads — through a shared LRU cache (in-flight
+//     entries are pinned and deduplicated, so two runs touching one
+//     container cost one RPC),
+//  5. reassembles strictly in stream order into the caller's io.Writer,
+//     using the agent pipeline's FIFO + done-token ordered fan-out.
 //
-// Memory is bounded by (cache capacity + in-flight runs) containers,
-// never by file size. Every payload is verified against its chunk ID
-// before a byte is written.
+// Replies are whole records back to back: the client checks their
+// framing and CRCs, then every payload's hash, before a byte is
+// written. Memory is bounded by (cache capacity + in-flight runs) ×
+// the records a stream needs from one container, never by file size.
 
 import (
 	"bytes"
+	"cmp"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -111,9 +117,10 @@ func (c *Client) GetRecipe(ctx context.Context, name string) ([]RecipeEntry, err
 	return out, nil
 }
 
-// GetContainer fetches a sealed container's raw CRC-framed bytes.
-func (c *Client) GetContainer(ctx context.Context, id uint64) ([]byte, error) {
-	resp, err := c.call(ctx, methodGetContainer, binary.BigEndian.AppendUint64(nil, id))
+// getContainer range-reads a sealed container: the reply is the bytes
+// of each span, concatenated. Spans must be sorted and disjoint.
+func (c *Client) getContainer(ctx context.Context, id uint64, spans []Locator) ([]byte, error) {
+	resp, err := c.call(ctx, methodGetContainer, encodeRangeList(id, spans))
 	if err != nil {
 		return nil, classifyRemote(err)
 	}
@@ -135,9 +142,9 @@ func (c *Client) GetChunks(ctx context.Context, ids []chunk.ID) ([][]byte, error
 
 // --- read-ahead container cache ---------------------------------------
 
-// cacheEntry is one container in the cache. ready is closed once chunks
-// and err are set; refs pins the entry against eviction while fetchers
-// and extractors hold it.
+// cacheEntry is the needed records of one container. ready is closed
+// once chunks and err are set; refs pins the entry against eviction
+// while fetchers and extractors hold it.
 type cacheEntry struct {
 	id     uint64
 	ready  chan struct{}
@@ -146,13 +153,15 @@ type cacheEntry struct {
 	refs   int
 }
 
-// containerCache is a per-restore LRU of parsed containers with
-// single-flight fetches: concurrent runs needing the same container
-// share one cloud.getcontainer RPC, and in-flight or pinned entries are
-// never evicted, so the memory bound is cap + in-flight containers.
+// containerCache is a per-restore LRU of the parsed records a stream
+// needs from each container, with single-flight fetches: concurrent runs
+// needing the same container share one cloud.getcontainer RPC, and
+// in-flight or pinned entries are never evicted, so the memory bound is
+// cap + in-flight containers' worth of needed records.
 type containerCache struct {
 	client *Client
 	cap    int
+	spans  map[uint64][]Locator // planned record spans per container
 
 	mu      sync.Mutex
 	entries map[uint64]*cacheEntry
@@ -161,10 +170,11 @@ type containerCache struct {
 	hits, misses atomic.Int64
 }
 
-func newContainerCache(client *Client, capacity int) *containerCache {
+func newContainerCache(client *Client, capacity int, spans map[uint64][]Locator) *containerCache {
 	return &containerCache{
 		client:  client,
 		cap:     capacity,
+		spans:   spans,
 		entries: make(map[uint64]*cacheEntry),
 	}
 }
@@ -209,8 +219,9 @@ func (cc *containerCache) evictLocked() {
 	}
 }
 
-// get returns the parsed chunk map of a container, fetching it (once)
-// on a miss. The returned entry is pinned; callers must release it.
+// get returns the parsed chunk map of a container's planned records,
+// fetching them (once) on a miss. The returned entry is pinned; callers
+// must release it.
 func (cc *containerCache) get(ctx context.Context, id uint64) (*cacheEntry, error) {
 	cc.mu.Lock()
 	if e, ok := cc.entries[id]; ok {
@@ -237,10 +248,10 @@ func (cc *containerCache) get(ctx context.Context, id uint64) (*cacheEntry, erro
 	cc.mu.Unlock()
 	cc.misses.Add(1)
 
-	data, err := cc.client.GetContainer(ctx, id)
+	data, err := cc.client.getContainer(ctx, id, cc.spans[id])
 	if err == nil {
 		chunks := make(map[chunk.ID][]byte)
-		err = parseContainer(data, func(cid chunk.ID, _ uint32, payload []byte) error {
+		err = walkRecords(data, 0, func(cid chunk.ID, _ uint32, payload []byte) error {
 			chunks[cid] = payload
 			return nil
 		})
@@ -293,10 +304,8 @@ type restoreRun struct {
 	done      chan struct{}
 }
 
-// planRuns groups a recipe into restore runs and counts the distinct
-// containers the stream touches.
-func planRuns(recipe []RecipeEntry, fallbackBatch int) (runs []*restoreRun, containers int) {
-	touched := make(map[uint64]bool)
+// planRuns groups a recipe into restore runs.
+func planRuns(recipe []RecipeEntry, fallbackBatch int) (runs []*restoreRun) {
 	for i := 0; i < len(recipe); {
 		j := i + 1
 		cid := recipe[i].Loc.Container
@@ -305,7 +314,6 @@ func planRuns(recipe []RecipeEntry, fallbackBatch int) (runs []*restoreRun, cont
 				j++
 			}
 		} else {
-			touched[cid] = true
 			for j < len(recipe) && recipe[j].Loc.Container == cid {
 				j++
 			}
@@ -317,7 +325,42 @@ func planRuns(recipe []RecipeEntry, fallbackBatch int) (runs []*restoreRun, cont
 		})
 		i = j
 	}
-	return runs, len(touched)
+	return runs
+}
+
+// planSpans returns, per container the recipe touches, the sorted
+// record spans (header and payload) of its locators: what the one
+// getcontainer RPC for that container asks for. All spans are
+// sorted in one flat slice and merged in place where they touch or
+// repeat; each container gets a sub-slice of it.
+func planSpans(recipe []RecipeEntry) map[uint64][]Locator {
+	need := make([]Locator, 0, len(recipe))
+	for _, e := range recipe {
+		if l := e.Loc; l.Container != 0 { // decodeRecipe rules out wrap-around
+			need = append(need, Locator{l.Container, l.Offset - containerRecordHeader, l.Length + containerRecordHeader})
+		}
+	}
+	slices.SortFunc(need, func(a, b Locator) int {
+		return cmp.Or(cmp.Compare(a.Container, b.Container), cmp.Compare(a.Offset, b.Offset))
+	})
+	merged := need[:0]
+	for _, sp := range need {
+		if n := len(merged) - 1; n >= 0 && merged[n].Container == sp.Container && sp.Offset <= merged[n].Offset+merged[n].Length {
+			merged[n].Length = max(merged[n].Length, sp.Offset+sp.Length-merged[n].Offset)
+		} else {
+			merged = append(merged, sp)
+		}
+	}
+	out := make(map[uint64][]Locator)
+	for len(merged) > 0 {
+		j := 1
+		for j < len(merged) && merged[j].Container == merged[0].Container {
+			j++
+		}
+		out[merged[0].Container] = merged[:j:j]
+		merged = merged[j:]
+	}
+	return out
 }
 
 // fetchRun materializes one run's payloads, verifying every chunk's
@@ -382,16 +425,16 @@ func (c *Client) RestoreTo(ctx context.Context, name string, w io.Writer, opts R
 	if err != nil {
 		return RestoreStats{}, fmt.Errorf("cloudstore: restore %s: %w", name, err)
 	}
-	runs, containers := planRuns(recipe, opts.FallbackBatch)
-	stats := RestoreStats{ContainersTouched: containers}
-	fragHist.Observe(int64(containers))
+	runs, spans := planRuns(recipe, opts.FallbackBatch), planSpans(recipe)
+	stats := RestoreStats{ContainersTouched: len(spans)}
+	fragHist.Observe(int64(len(spans)))
 	if len(runs) == 0 {
 		return stats, nil
 	}
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	cache := newContainerCache(c, opts.CacheContainers)
+	cache := newContainerCache(c, opts.CacheContainers, spans)
 	order := make(chan *restoreRun, opts.ReadAhead*2)
 	work := make(chan *restoreRun, opts.ReadAhead)
 

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"efdedup/internal/chunk"
@@ -266,5 +268,191 @@ func TestRestoreLegacyWrapperMatches(t *testing.T) {
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("legacy Restore differs")
+	}
+}
+
+// interleavedRestore seals two containers A and B of eight 1000-byte
+// chunks each and stores a manifest that interleaves non-contiguous
+// records of both (with one repeat), returning the manifest's expected
+// bytes and the indexes of the A and B chunks it uses.
+func interleavedRestore(t *testing.T, cl *Client, srv *Server) (want []byte, usedA, usedB []int, a, b []chunk.Chunk) {
+	t.Helper()
+	ctx := context.Background()
+	for i := 0; i < 8; i++ {
+		_, d := mkPayload(int64(800+i), 1000)
+		a = append(a, chunk.Chunk{ID: chunk.Sum(d), Data: d})
+		_, d = mkPayload(int64(900+i), 1000)
+		b = append(b, chunk.Chunk{ID: chunk.Sum(d), Data: d})
+	}
+	for _, cs := range [][]chunk.Chunk{a, b} {
+		if _, err := cl.BatchUpload(ctx, cs); err != nil {
+			t.Fatal(err)
+		}
+		srv.FlushContainers()
+	}
+	order := []chunk.Chunk{a[1], b[6], a[3], b[0], a[6], b[2], a[1], b[4]}
+	usedA, usedB = []int{1, 3, 6}, []int{0, 2, 4, 6}
+	ids := make([]chunk.ID, len(order))
+	for i, c := range order {
+		ids[i] = c.ID
+		want = append(want, c.Data...)
+	}
+	if err := cl.PutManifest(ctx, "interleaved", ids); err != nil {
+		t.Fatal(err)
+	}
+	return want, usedA, usedB, a, b
+}
+
+// TestRestoreRangeReadsInterleavedContainers: a recipe alternating
+// between scattered records of two containers restores byte-identically
+// with one getcontainer RPC per container, and each reply is exactly the
+// needed records' bytes — header, CRC and payload — and nothing else.
+func TestRestoreRangeReadsInterleavedContainers(t *testing.T) {
+	cl, srv := startCloud(t, Config{ContainerBytes: 1 << 20})
+	ctx := context.Background()
+	want, usedA, usedB, a, b := interleavedRestore(t, cl, srv)
+
+	var buf bytes.Buffer
+	st, err := cl.RestoreTo(ctx, "interleaved", &buf, RestoreOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatal("interleaved restore differs")
+	}
+	if st.ContainersTouched != 2 || st.CacheMisses != int64(st.ContainersTouched) {
+		t.Fatalf("ContainersTouched = %d, CacheMisses = %d, want 2 and 2", st.ContainersTouched, st.CacheMisses)
+	}
+
+	recipe, err := cl.GetRecipe(ctx, "interleaved")
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := planSpans(recipe)
+	for _, side := range []struct {
+		chunks []chunk.Chunk
+		used   []int
+	}{{a, usedA}, {b, usedB}} {
+		loc0, _ := srv.containers.locate(side.chunks[0].ID)
+		sealed := srv.containers.sealed[loc0.Container]
+		var records []byte
+		for _, i := range side.used {
+			l, _ := srv.containers.locate(side.chunks[i].ID)
+			records = append(records, sealed[l.Offset-containerRecordHeader:l.Offset+l.Length]...)
+		}
+		if n := len(spans[loc0.Container]); n != len(side.used) {
+			t.Fatalf("container %d: %d planned spans, want one per scattered record (%d)", loc0.Container, n, len(side.used))
+		}
+		reply, err := cl.getContainer(ctx, loc0.Container, spans[loc0.Container])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(reply, records) {
+			t.Fatalf("container %d: reply of %d bytes, want the %d bytes of records %v", loc0.Container, len(reply), len(records), side.used)
+		}
+	}
+}
+
+// TestRestoreRangeReadCorruption flips one payload byte in a record the
+// stream does not read (the restore stays intact), then in one it does
+// (the restore fails with ErrCorrupt naming the container).
+func TestRestoreRangeReadCorruption(t *testing.T) {
+	cl, srv := startCloud(t, Config{ContainerBytes: 1 << 20})
+	ctx := context.Background()
+	want, _, _, a, _ := interleavedRestore(t, cl, srv)
+
+	flip := func(c chunk.Chunk) {
+		l, _ := srv.containers.locate(c.ID)
+		srv.containers.sealed[l.Container][l.Offset+l.Length/2] ^= 0xFF
+	}
+	flip(a[2]) // unread neighbour of the needed a[1] and a[3]
+	got, err := cl.Restore(ctx, "interleaved")
+	if err != nil {
+		t.Fatalf("restore with an unread record damaged: %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("restore with an unread record damaged differs")
+	}
+
+	flip(a[3])
+	_, err = cl.Restore(ctx, "interleaved")
+	if !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("restore over a damaged needed record = %v, want ErrCorrupt", err)
+	}
+	if !strings.Contains(err.Error(), "container 1") {
+		t.Fatalf("error does not name the container: %v", err)
+	}
+}
+
+// TestRestoreRangeReadsAfterReopen range-reads Dir-mode containers
+// served by a fresh server over the same directory: a full stream and a
+// manifest of every third chunk (one span per record) both restore.
+func TestRestoreRangeReadsAfterReopen(t *testing.T) {
+	dir := t.TempDir()
+	cfg := Config{Dir: dir, ContainerBytes: 16 << 10}
+	cl, srv := startCloud(t, cfg)
+	data := uploadStream(t, cl, "vm", 29, 200_000)
+	ctx := context.Background()
+	ids, err := cl.GetManifest(ctx, "vm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sparse []chunk.ID
+	var sparseWant []byte
+	for i := 0; i < len(ids); i += 3 {
+		sparse = append(sparse, ids[i])
+		sparseWant = append(sparseWant, data[i*4096:min(len(data), (i+1)*4096)]...)
+	}
+	if err := cl.PutManifest(ctx, "sparse", sparse); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	cl2, _ := startCloud(t, cfg)
+	for name, want := range map[string][]byte{"vm": data, "sparse": sparseWant} {
+		var buf bytes.Buffer
+		st, err := cl2.RestoreTo(ctx, name, &buf, RestoreOptions{})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("%s: restore after reopen differs", name)
+		}
+		if st.FallbackChunks != 0 || st.ContainersTouched == 0 || st.CacheMisses != int64(st.ContainersTouched) {
+			t.Fatalf("%s: stats %+v, want every chunk from one read per container", name, st)
+		}
+	}
+}
+
+// TestPlanSpansMergesOnlyTouching: record spans merge when they touch,
+// repeat or overlap, never across a gap, and group by container.
+func TestPlanSpansMergesOnlyTouching(t *testing.T) {
+	const h = containerRecordHeader
+	var recipe []RecipeEntry
+	for _, l := range []Locator{
+		{Container: 2, Offset: 500 + h, Length: 50},
+		{}, // fallback entry: no span
+		{Container: 1, Offset: 148 + h, Length: 100}, // touches the record at 8
+		{Container: 1, Offset: 8 + h, Length: 100},
+		{Container: 1, Offset: 8 + h, Length: 100},  // repeat
+		{Container: 1, Offset: 289 + h, Length: 10}, // one-byte gap
+		{Container: 2, Offset: 520 + h, Length: 60}, // overlaps
+	} {
+		recipe = append(recipe, RecipeEntry{Loc: l})
+	}
+	got := planSpans(recipe)
+	want := map[uint64][]Locator{
+		1: {{Container: 1, Offset: 8, Length: 280}, {Container: 1, Offset: 289, Length: 10 + h}},
+		2: {{Container: 2, Offset: 500, Length: 120}},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("planSpans = %v, want %v", got, want)
+	}
+	for c, w := range want {
+		if !slices.Equal(got[c], w) {
+			t.Fatalf("container %d spans = %v, want %v", c, got[c], w)
+		}
 	}
 }

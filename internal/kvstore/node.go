@@ -279,9 +279,16 @@ func (n *Node) maybeSnapshot() {
 	n.snapWG.Add(1)
 	go func() {
 		defer n.snapWG.Done()
-		defer n.snapping.Store(false)
-		//lint:ignore errlost failures recorded in kvstore_node_snapshot_failures_total; the WAL keeps growing and the next put retries
-		_ = n.Snapshot()
+		err := n.Snapshot()
+		n.snapping.Store(false)
+		// A put that crossed the threshold while this snapshot ran saw
+		// snapping set and skipped its trigger: re-check, or the log can
+		// stay above the threshold once writes stop. A failure (counted
+		// in kvstore_node_snapshot_failures_total) waits for the next put
+		// instead of retrying in a loop.
+		if err == nil {
+			n.maybeSnapshot()
+		}
 	}()
 }
 

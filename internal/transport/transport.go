@@ -430,9 +430,12 @@ func (c *Client) Call(ctx context.Context, method string, body []byte) ([]byte, 
 	// interrupted call left the poisoned deadline behind.
 	//lint:ignore lockedio setting a deadline is local conn state, not blocking wire I/O
 	c.conn.SetWriteDeadline(time.Time{})
-	stop := context.AfterFunc(ctx, func() {
-		c.conn.SetWriteDeadline(aLongTimeAgo)
-	})
+	stop := func() bool { return false }
+	if ctx.Done() != nil { // a context that can never end needs no watcher
+		stop = context.AfterFunc(ctx, func() {
+			c.conn.SetWriteDeadline(aLongTimeAgo)
+		})
+	}
 	//lint:ignore lockedio writeMu exists to serialize request frames on this conn; it guards the write itself
 	err = writeFrame(c.conn, req)
 	stop()
