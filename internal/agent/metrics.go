@@ -12,10 +12,10 @@ type agentMetrics struct {
 	chunkBytes   *metrics.Histogram // chunk payload sizes
 	lookupLat    *metrics.Histogram // index lookup RPC latency per batch
 	lookupBatch  *metrics.Histogram // chunks per lookup batch
-	uploadLat    *metrics.Histogram // cloud upload RPC latency per batch
+	uploadLat    *metrics.Histogram // cloud upload RPC latency per batch but a stream's last (cloud-only: per raw upload)
 	uploadBatch  *metrics.Histogram // chunks per upload batch
 	insertLat    *metrics.Histogram // ring index insert latency per batch
-	manifestLat  *metrics.Histogram // manifest put latency per stream
+	manifestLat  *metrics.Histogram // manifest commit latency per stream, final batch included
 	streamLat    *metrics.Histogram // end-to-end stream latency
 
 	// Stage occupancy for the concurrent pipeline: how busy each stage

@@ -15,9 +15,11 @@ package agent
 //	shared lookup pool ×LookupInflight per agent — BatchHas (downgrade ladder)
 //	   ▼  ordered delivery via lookupOrder done tokens
 //	router — duplicate suppression, upload batching
-//	   │  uploads (cap 4 batches)
+//	   │  uploads (cap 4 batches); the final batch is handed over at close
 //	   ▼
-//	uploader — BatchUpload, acknowledged accounting, ring index registration
+//	uploader — BatchUpload, acknowledged accounting, ring index
+//	           registration, then the manifest commit carrying the final
+//	           batch (one RPC: PutManifest with a tail)
 //
 // The hash and lookup stages are served by the agent's shared scheduler
 // (scheduler.go): the pools are sized once per agent and drained
@@ -110,6 +112,13 @@ func (p *pipeline) release(c chunk.Chunk) {
 	p.a.sched.budget.release(int64(cap(c.Data)))
 }
 
+// releaseAll releases every payload of a batch.
+func (p *pipeline) releaseAll(batch []chunk.Chunk) {
+	for _, c := range batch {
+		p.release(c)
+	}
+}
+
 // pipeline is one stream's staged state machine. The fields below are
 // partitioned by owning stage; cross-stage values are atomic and folded
 // into rep by finish(), which runs after every stage has exited.
@@ -158,7 +167,9 @@ type pipeline struct {
 	collectDone chan struct{}
 	routeDone   chan struct{}
 
-	// Router-owned.
+	// Router-owned until the router closes uploads; then the uploader
+	// reads it as the stream's final batch, which rides the manifest
+	// commit instead of a BatchUpload.
 	pendingUpload []chunk.Chunk
 
 	uploads   chan []chunk.Chunk
@@ -336,9 +347,7 @@ func (p *pipeline) collect() {
 	if !p.aborted() {
 		p.dispatchLookup() // partial tail batch
 	} else if p.cur != nil {
-		for _, c := range p.cur.batch {
-			p.release(c)
-		}
+		p.releaseAll(p.cur.batch)
 		putLookupJob(p.cur)
 		p.cur = nil
 	}
@@ -412,9 +421,7 @@ func (p *pipeline) route() {
 			p.fail(job.err)
 			fallthrough
 		case p.aborted():
-			for _, c := range job.batch {
-				p.release(c)
-			}
+			p.releaseAll(job.batch)
 		default:
 			for i, c := range job.batch {
 				if job.known[i] {
@@ -431,14 +438,12 @@ func (p *pipeline) route() {
 		}
 		putLookupJob(job)
 	}
-	if !p.aborted() {
-		p.queueUpload() // partial tail batch
-	} else {
-		for _, c := range p.pendingUpload {
-			p.release(c)
-		}
+	if p.aborted() {
+		p.releaseAll(p.pendingUpload)
 		p.pendingUpload = nil
 	}
+	// The partial tail batch is not queued: closing uploads hands it to
+	// the uploader's manifest commit.
 	close(p.uploads)
 }
 
@@ -457,9 +462,10 @@ func (p *pipeline) queueUpload() {
 	p.pendingUpload = p.pendingUpload[:0]
 }
 
-// upload ships batches to the cloud. A batch's chunks are counted and
-// its hashes registered in the ring index only after the cloud
-// acknowledges it; payloads return to the arena either way.
+// upload ships batches to the cloud, then commits the stream's manifest
+// with the final batch. A batch's chunks are counted and its hashes
+// registered in the ring index only after the cloud acknowledges it;
+// payloads return to the arena either way.
 func (p *pipeline) upload() {
 	defer close(p.uploadErr)
 	for batch := range p.uploads {
@@ -468,43 +474,73 @@ func (p *pipeline) upload() {
 		_, err := p.a.cfg.Cloud.BatchUpload(p.ctx, batch)
 		sp.End()
 		if err != nil {
-			for _, c := range batch {
-				p.release(c)
-			}
+			p.releaseAll(batch)
 			p.uploadErr <- fmt.Errorf("agent: upload batch: %w", err)
 			// Drain remaining batches so the producer never blocks.
 			// Dropped batches are deliberately not counted: they never
 			// reached the cloud.
 			for batch := range p.uploads {
 				p.a.met.uploadQueue.Add(-1)
-				for _, c := range batch {
-					p.release(c)
-				}
+				p.releaseAll(batch)
 			}
+			p.releaseAll(p.pendingUpload)
 			return
 		}
-		var batchBytes int64
-		for _, c := range batch {
-			batchBytes += int64(len(c.Data))
-		}
-		p.uploadedChunks.Add(int64(len(batch)))
-		p.uploadedBytes.Add(batchBytes)
-		p.a.met.uploadedChunks.Add(int64(len(batch)))
-		p.a.met.uploadedBytes.Add(batchBytes)
-		p.a.met.uploadBatch.Observe(int64(len(batch)))
-		// Payloads are dead once the cloud acked the batch; only the
-		// content IDs flow on to the ring index.
-		for _, c := range batch {
-			p.release(c)
-		}
-		// Only now — with the batch durable in the cloud — are its
-		// hashes registered in the ring index. Registering at lookup
-		// time could advertise chunks that a mid-stream abort never
-		// uploaded, making peers skip uploads for data the cloud does
-		// not hold.
-		if p.a.cfg.Mode == ModeRing {
-			p.registerFresh(batch)
-		}
+		p.acknowledged(batch)
+	}
+	p.commitManifest()
+}
+
+// commitManifest records the stream's manifest and stores its final
+// batch in one RPC. It runs after every earlier batch was acknowledged
+// and its index insert returned, and is skipped when the stream aborted
+// or an insert failed fatally: the manifest only ever names chunks the
+// cloud holds (the cloud checks this too), so an aborted stream leaves
+// no manifest behind. The final batch's own index insert follows the
+// commit.
+func (p *pipeline) commitManifest() {
+	tail := p.pendingUpload
+	p.indexWG.Wait()
+	if p.aborted() || p.indexFailure() != nil {
+		p.releaseAll(tail)
+		return
+	}
+	sp := metrics.StartTimer(p.a.met.manifestLat)
+	err := p.a.cfg.Cloud.PutManifest(p.ctx, p.rep.Name, p.manifest, tail...)
+	sp.End()
+	if err != nil {
+		p.releaseAll(tail)
+		p.uploadErr <- fmt.Errorf("agent: manifest %s: %w", p.rep.Name, err)
+		return
+	}
+	p.acknowledged(tail)
+}
+
+// acknowledged accounts a batch the cloud acknowledged, releases its
+// payloads and registers its hashes in the ring index.
+func (p *pipeline) acknowledged(batch []chunk.Chunk) {
+	if len(batch) == 0 {
+		return
+	}
+	var batchBytes int64
+	for _, c := range batch {
+		batchBytes += int64(len(c.Data))
+	}
+	p.uploadedChunks.Add(int64(len(batch)))
+	p.uploadedBytes.Add(batchBytes)
+	p.a.met.uploadedChunks.Add(int64(len(batch)))
+	p.a.met.uploadedBytes.Add(batchBytes)
+	p.a.met.uploadBatch.Observe(int64(len(batch)))
+	// Payloads are dead once the cloud acked the batch; only the
+	// content IDs flow on to the ring index.
+	p.releaseAll(batch)
+	// Only now — with the batch durable in the cloud — are its
+	// hashes registered in the ring index. Registering at lookup
+	// time could advertise chunks that a mid-stream abort never
+	// uploaded, making peers skip uploads for data the cloud does
+	// not hold.
+	if p.a.cfg.Mode == ModeRing {
+		p.registerFresh(batch)
 	}
 }
 
@@ -560,8 +596,8 @@ func (p *pipeline) registerFresh(batch []chunk.Chunk) {
 }
 
 // finish joins the stage-exit chain and reports the first error among
-// the stream error, fatal stage errors, upload failures and index
-// failures. The chain — chunker done → hash stage closed → collector
+// the stream error, fatal stage errors, upload or commit failures and
+// index failures. The chain — chunker done → hash stage closed → collector
 // exits (closing the lookup stage) → router exits (closing uploads) →
 // uploader exits (closing uploadErr) — also sequences the memory model:
 // every stage's writes happen before finish reads them.
@@ -585,9 +621,7 @@ func (p *pipeline) finish(streamErr error) (Report, error) {
 	p.rep.Recoveries = p.recoveries.Load()
 	p.rep.DegradedLookups = p.degradedLookups.Load()
 	p.rep.IndexInsertFailures = p.indexInsertFails.Load()
-	p.indexMu.Lock()
-	indexFailure := p.indexErr
-	p.indexMu.Unlock()
+	indexFailure := p.indexFailure()
 	switch {
 	case streamErr != nil:
 		return p.rep, streamErr
@@ -601,6 +635,13 @@ func (p *pipeline) finish(streamErr error) (Report, error) {
 		return p.rep, indexFailure
 	}
 	return p.rep, nil
+}
+
+// indexFailure returns the first fatal index insert error, if any.
+func (p *pipeline) indexFailure() error {
+	p.indexMu.Lock()
+	defer p.indexMu.Unlock()
+	return p.indexErr
 }
 
 // lookup answers which chunks in the batch are already indexed.

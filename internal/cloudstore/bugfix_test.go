@@ -8,7 +8,9 @@ package cloudstore
 //   - handlePutManifest / the raw-upload manifest path used to update
 //     the in-memory catalog before the durable disk write, advertising
 //     manifests a restart would not have;
-//   - the server accepted empty / "." / ".." manifest names.
+//   - the server accepted empty / "." / ".." manifest names;
+//   - a chunk whose durable write failed was reported as a duplicate,
+//     so the upload RPCs acknowledged chunks the cloud did not hold.
 
 import (
 	"context"
@@ -176,5 +178,55 @@ func TestUploadRawManifestDurableFirst(t *testing.T) {
 	}
 	if st := srv.Stats(); st.Manifests != 0 {
 		t.Fatalf("Manifests = %d, want 0", st.Manifests)
+	}
+}
+
+// breakChunkDir replaces the store's staged-chunk directory with a plain
+// file so every subsequent durable chunk write fails.
+func breakChunkDir(t *testing.T, dir string) {
+	t.Helper()
+	cdir := filepath.Join(dir, "chunks")
+	if err := os.RemoveAll(cdir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cdir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFailedChunkWriteIsNotAcknowledged: a chunk whose durable write
+// failed used to be reported as a duplicate, so every upload path
+// acknowledged a chunk the cloud did not hold. Each must now fail the
+// RPC, and the cloud must keep reporting the chunk absent.
+func TestFailedChunkWriteIsNotAcknowledged(t *testing.T) {
+	dir := t.TempDir()
+	cl, srv := startCloud(t, Config{Dir: dir})
+	ctx := context.Background()
+	breakChunkDir(t, dir)
+
+	single, batched, tail := mkChunk("single"), mkChunk("batched"), mkChunk("tail")
+	if _, err := cl.Upload(ctx, single); err == nil {
+		t.Error("Upload acknowledged a chunk whose write failed")
+	}
+	if _, err := cl.BatchUpload(ctx, []chunk.Chunk{batched}); err == nil {
+		t.Error("BatchUpload acknowledged a chunk whose write failed")
+	}
+	if _, err := cl.UploadRaw(ctx, "raw", []byte("raw stream whose chunks cannot be written")); err == nil {
+		t.Error("UploadRaw acknowledged chunks whose write failed")
+	}
+	if err := cl.PutManifest(ctx, "committed", []chunk.ID{tail.ID}, tail); err == nil {
+		t.Error("PutManifest acknowledged a tail chunk whose write failed")
+	}
+	held, err := cl.BatchHas(ctx, []chunk.ID{single.ID, batched.ID, tail.ID})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, h := range held {
+		if h {
+			t.Errorf("BatchHas reports chunk %d present after its write failed", i)
+		}
+	}
+	if st := srv.Stats(); st.UniqueChunks != 0 || st.Manifests != 0 {
+		t.Fatalf("stats after failed writes: %+v, want no chunks and no manifests", st)
 	}
 }

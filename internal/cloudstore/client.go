@@ -234,9 +234,13 @@ func (c *Client) GetChunk(ctx context.Context, id chunk.ID) ([]byte, error) {
 	return resp, nil
 }
 
-// PutManifest records the chunk sequence of a named file.
-func (c *Client) PutManifest(ctx context.Context, name string, ids []chunk.ID) error {
-	body, err := encodeNamedBlob(name, encodeManifestIDs(ids))
+// PutManifest commits a named file in one RPC: the cloud stores tail —
+// the stream's final upload batch, possibly empty — and then records ids
+// as the file's chunk sequence. The cloud refuses a manifest naming a
+// chunk it does not hold (ErrNotFound), so an acknowledged manifest
+// always restores.
+func (c *Client) PutManifest(ctx context.Context, name string, ids []chunk.ID, tail ...chunk.Chunk) error {
+	body, err := encodeCommit(name, tail, ids)
 	if err != nil {
 		return err
 	}

@@ -5,7 +5,8 @@
 // Three client roles use it (paper Sec. V-A):
 //
 //   - EF-dedup agents upload only the chunks their D2-ring identified as
-//     unique (Upload / BatchUpload);
+//     unique (BatchUpload, with the final batch riding the manifest
+//     commit);
 //   - Cloud-assisted agents keep no edge index: they probe the cloud's
 //     global index (BatchHas) and upload misses;
 //   - Cloud-only agents ship raw data (UploadRaw); the cloud chunks and
@@ -287,21 +288,22 @@ func validManifestName(name string) error {
 }
 
 // storeChunk inserts data under its ID, returning whether it was new.
-// Durability order: the staged flat file first (the acknowledgement
-// hinges on it), then the in-memory index, then the locality container
-// (whose sealing supersedes the flat file).
-func (s *Server) storeChunk(id chunk.ID, data []byte) bool {
+// A chunk whose staged write failed is not recorded and returns an
+// error: callers must fail the RPC rather than acknowledge a chunk the
+// cloud does not hold. Durability order: the staged flat file first (the
+// acknowledgement hinges on it), then the in-memory index, then the
+// locality container (whose sealing supersedes the flat file).
+func (s *Server) storeChunk(id chunk.ID, data []byte) (bool, error) {
 	s.mu.Lock()
 	s.stats.LogicalBytes += int64(len(data))
 	if _, ok := s.chunks[id]; ok {
 		s.mu.Unlock()
-		return false
+		return false, nil
 	}
 	if s.disk != nil {
 		if err := s.disk.PutChunk(id, data); err != nil {
-			// Persistence failure: do not record the chunk as stored.
 			s.mu.Unlock()
-			return false
+			return false, fmt.Errorf("cloudstore: persist chunk %s: %w", id, err)
 		}
 		s.chunks[id] = nil
 	} else {
@@ -313,7 +315,27 @@ func (s *Server) storeChunk(id chunk.ID, data []byte) bool {
 	s.stats.UniqueBytes += int64(len(data))
 	s.mu.Unlock()
 	s.containers.append(id, data, false)
-	return true
+	return true, nil
+}
+
+// storeChunks verifies each chunk's content address and stores it, in
+// order, returning how many were new. It stops at the first mismatch
+// (ErrCorrupt) or failed write; chunks before it stay stored.
+func (s *Server) storeChunks(chunks []chunk.Chunk) (uint32, error) {
+	stored := uint32(0)
+	for i, ck := range chunks {
+		if chunk.Sum(ck.Data) != ck.ID {
+			return stored, fmt.Errorf("%w: batch record %d content mismatch", ErrCorrupt, i)
+		}
+		fresh, err := s.storeChunk(ck.ID, ck.Data)
+		if err != nil {
+			return stored, err
+		}
+		if fresh {
+			stored++
+		}
+	}
+	return stored, nil
 }
 
 // chunkData reads one chunk payload from wherever its current copy
@@ -383,7 +405,10 @@ func (s *Server) handleUpload(body []byte) ([]byte, error) {
 	if chunk.Sum(data) != id {
 		return nil, fmt.Errorf("%w: chunk content does not match its ID", ErrCorrupt)
 	}
-	fresh := s.storeChunk(id, data)
+	fresh, err := s.storeChunk(id, data)
+	if err != nil {
+		return nil, err
+	}
 	if fresh {
 		return []byte{1}, nil
 	}
@@ -396,14 +421,9 @@ func (s *Server) handleBatchUpload(body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	stored := uint32(0)
-	for i, ck := range chunks {
-		if chunk.Sum(ck.Data) != ck.ID {
-			return nil, fmt.Errorf("%w: batch record %d content mismatch", ErrCorrupt, i)
-		}
-		if s.storeChunk(ck.ID, ck.Data) {
-			stored++
-		}
+	stored, err := s.storeChunks(chunks)
+	if err != nil {
+		return nil, err
 	}
 	return binary.BigEndian.AppendUint32(nil, stored), nil
 }
@@ -445,7 +465,11 @@ func (s *Server) handleUploadRaw(body []byte) ([]byte, error) {
 		return nil, err
 	}
 	for _, c := range chunks {
-		if s.storeChunk(c.ID, c.Data) {
+		fresh, err := s.storeChunk(c.ID, c.Data)
+		if err != nil {
+			return nil, err
+		}
+		if fresh {
 			stored++
 		}
 		ids = append(ids, c.ID)
@@ -535,19 +559,30 @@ func (s *Server) handleGetContainer(body []byte) ([]byte, error) {
 	return s.containers.readRanges(id, spans)
 }
 
-// putmanifest body: u16 name length | name | (32-byte ID)*.
+// putmanifest body: u16 name length | name | chunk list | (32-byte ID)*.
+// The chunk list is the stream's final upload batch (possibly empty): it
+// is verified and stored first, and the manifest is then refused
+// (ErrNotFound, nothing persisted) unless every ID it names is stored,
+// so an acknowledged manifest always restores.
 func (s *Server) handlePutManifest(body []byte) ([]byte, error) {
-	name, rest, err := decodeNamedBlob(body)
+	name, tail, ids, err := decodeCommit(body)
 	if err != nil {
 		return nil, err
 	}
 	if err := validManifestName(name); err != nil {
 		return nil, err
 	}
-	ids, err := decodeManifestIDs(rest)
-	if err != nil {
+	if _, err := s.storeChunks(tail); err != nil {
 		return nil, fmt.Errorf("manifest %q: %w", name, err)
 	}
+	s.mu.RLock()
+	for _, id := range ids {
+		if _, ok := s.chunks[id]; !ok {
+			s.mu.RUnlock()
+			return nil, fmt.Errorf("%w: manifest %q names chunk %s", ErrNotFound, name, id)
+		}
+	}
+	s.mu.RUnlock()
 	// Durable-first, then memory: a manifest the disk refused must never
 	// be advertised from the in-memory catalog (the same ordering bug
 	// kvstore handlePutNX had — apply, then fail to log — in reverse).

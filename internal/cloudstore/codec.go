@@ -37,48 +37,110 @@ func decodeChunkFrame(body []byte) (chunk.ID, []byte, error) {
 // encodeChunkList builds a batch upload body:
 // u32 count | (32-byte ID | u32 len | payload)*.
 func encodeChunkList(chunks []chunk.Chunk) []byte {
-	body := binary.BigEndian.AppendUint32(nil, uint32(len(chunks)))
+	body := make([]byte, 0, chunkListSize(chunks))
+	return writeChunkList(body, chunks)
+}
+
+// chunkListSize is the exact encoded size of a chunk list, so encoders
+// allocate the request body once instead of growing it by doubling.
+func chunkListSize(chunks []chunk.Chunk) int {
+	n := 4
 	for _, ck := range chunks {
-		body = append(body, ck.ID[:]...)
-		body = binary.BigEndian.AppendUint32(body, uint32(len(ck.Data)))
-		body = append(body, ck.Data...)
+		n += chunk.IDSize + 4 + len(ck.Data)
 	}
-	return body
+	return n
+}
+
+// writeChunkList appends a chunk list to dst, copying each payload once.
+func writeChunkList(dst []byte, chunks []chunk.Chunk) []byte {
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(chunks)))
+	for _, ck := range chunks {
+		dst = append(dst, ck.ID[:]...)
+		dst = binary.BigEndian.AppendUint32(dst, uint32(len(ck.Data)))
+		dst = append(dst, ck.Data...)
+	}
+	return dst
 }
 
 // decodeChunkList parses a batch upload body. Chunk payloads alias the
 // input.
 func decodeChunkList(body []byte) ([]chunk.Chunk, error) {
+	out, rest, err := splitChunkList(body)
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after %d chunk records", ErrProto, len(rest), len(out))
+	}
+	return out, nil
+}
+
+// splitChunkList parses a chunk list at the head of body and returns the
+// bytes after it. Chunk payloads alias the input.
+func splitChunkList(body []byte) ([]chunk.Chunk, []byte, error) {
 	if len(body) < 4 {
-		return nil, fmt.Errorf("%w: truncated chunk list", ErrProto)
+		return nil, nil, fmt.Errorf("%w: truncated chunk list", ErrProto)
 	}
 	count := binary.BigEndian.Uint32(body)
 	src := body[4:]
 	// Each record costs at least a header; reject counts the payload
 	// cannot hold before allocating count slots.
 	if uint64(count) > uint64(len(src))/(chunk.IDSize+4) {
-		return nil, fmt.Errorf("%w: chunk count %d exceeds what %d bytes can hold", ErrProto, count, len(src))
+		return nil, nil, fmt.Errorf("%w: chunk count %d exceeds what %d bytes can hold", ErrProto, count, len(src))
 	}
 	out := make([]chunk.Chunk, 0, count)
 	for i := uint32(0); i < count; i++ {
 		if len(src) < chunk.IDSize+4 {
-			return nil, fmt.Errorf("%w: truncated chunk record %d", ErrProto, i)
+			return nil, nil, fmt.Errorf("%w: truncated chunk record %d", ErrProto, i)
 		}
 		var ck chunk.Chunk
 		copy(ck.ID[:], src[:chunk.IDSize])
 		n := binary.BigEndian.Uint32(src[chunk.IDSize:])
 		src = src[chunk.IDSize+4:]
 		if uint64(len(src)) < uint64(n) {
-			return nil, fmt.Errorf("%w: chunk payload %d of %d bytes exceeds remaining %d", ErrProto, i, n, len(src))
+			return nil, nil, fmt.Errorf("%w: chunk payload %d of %d bytes exceeds remaining %d", ErrProto, i, n, len(src))
 		}
 		ck.Data = src[:n]
 		src = src[n:]
 		out = append(out, ck)
 	}
-	if len(src) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes after %d chunk records", ErrProto, len(src), count)
+	return out, src, nil
+}
+
+// encodeCommit builds a putmanifest body: u16 name length | name | chunk
+// list (the stream's final upload batch, possibly empty) | (32-byte
+// ID)* (the manifest). The body is sized up front, so every tail payload
+// is copied into it exactly once.
+func encodeCommit(name string, tail []chunk.Chunk, ids []chunk.ID) ([]byte, error) {
+	if len(name) > 65535 {
+		return nil, fmt.Errorf("%w: name too long", ErrProto)
 	}
-	return out, nil
+	body := make([]byte, 0, 2+len(name)+chunkListSize(tail)+len(ids)*chunk.IDSize)
+	body = binary.BigEndian.AppendUint16(body, uint16(len(name)))
+	body = append(body, name...)
+	body = writeChunkList(body, tail)
+	for _, id := range ids {
+		body = append(body, id[:]...)
+	}
+	return body, nil
+}
+
+// decodeCommit parses a putmanifest body into the manifest name, the
+// tail chunks (aliasing the input) and the manifest's IDs.
+func decodeCommit(body []byte) (string, []chunk.Chunk, []chunk.ID, error) {
+	name, rest, err := decodeNamedBlob(body)
+	if err != nil {
+		return "", nil, nil, err
+	}
+	tail, rest, err := splitChunkList(rest)
+	if err != nil {
+		return "", nil, nil, err
+	}
+	ids, err := decodeManifestIDs(rest)
+	if err != nil {
+		return "", nil, nil, err
+	}
+	return name, tail, ids, nil
 }
 
 // encodeIDList builds a batchhas/getchunks request:
@@ -110,7 +172,7 @@ func decodeIDList(body []byte) ([]chunk.ID, error) {
 	return ids, nil
 }
 
-// encodeNamedBlob builds an uploadraw/putmanifest body:
+// encodeNamedBlob builds an uploadraw body:
 // u16 name length | name | payload.
 func encodeNamedBlob(name string, payload []byte) ([]byte, error) {
 	if len(name) > 65535 {
@@ -134,8 +196,8 @@ func decodeNamedBlob(body []byte) (string, []byte, error) {
 	return string(body[2 : 2+nameLen]), body[2+nameLen:], nil
 }
 
-// encodeManifestIDs builds a getmanifest response (and the ID suffix of
-// a putmanifest body): a bare 32-byte ID concatenation.
+// encodeManifestIDs builds a getmanifest response: a bare 32-byte ID
+// concatenation (the same shape as a putmanifest body's ID suffix).
 func encodeManifestIDs(ids []chunk.ID) []byte {
 	out := make([]byte, 0, len(ids)*chunk.IDSize)
 	for _, id := range ids {

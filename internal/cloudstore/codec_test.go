@@ -70,6 +70,100 @@ func TestChunkListHostile(t *testing.T) {
 	}
 }
 
+func TestCommitRoundTrip(t *testing.T) {
+	tail := []chunk.Chunk{codecChunk("tail one"), codecChunk("tail two")}
+	ids := []chunk.ID{chunk.Sum([]byte("earlier")), tail[0].ID, tail[1].ID, tail[0].ID}
+	for _, tc := range []struct {
+		name string
+		tail []chunk.Chunk
+		ids  []chunk.ID
+	}{
+		{"with tail", tail, ids},
+		{"empty tail", nil, ids},
+		{"empty stream", nil, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			body, err := encodeCommit("backup/1", tc.tail, tc.ids)
+			if err != nil {
+				t.Fatalf("encode: %v", err)
+			}
+			if len(body) != cap(body) {
+				t.Fatalf("body of %d bytes has capacity %d: not sized exactly", len(body), cap(body))
+			}
+			name, gotTail, gotIDs, err := decodeCommit(body)
+			if err != nil {
+				t.Fatalf("decode: %v", err)
+			}
+			if name != "backup/1" || len(gotTail) != len(tc.tail) || len(gotIDs) != len(tc.ids) {
+				t.Fatalf("round trip gave %q, %d tail chunks, %d IDs", name, len(gotTail), len(gotIDs))
+			}
+			for i := range tc.tail {
+				if gotTail[i].ID != tc.tail[i].ID || !bytes.Equal(gotTail[i].Data, tc.tail[i].Data) {
+					t.Fatalf("tail chunk %d mutated", i)
+				}
+			}
+			for i := range tc.ids {
+				if gotIDs[i] != tc.ids[i] {
+					t.Fatalf("ID %d mutated", i)
+				}
+			}
+		})
+	}
+	if _, err := encodeCommit(string(make([]byte, 70000)), nil, nil); !errors.Is(err, ErrProto) {
+		t.Fatalf("oversized name not rejected: %v", err)
+	}
+}
+
+// hostileCommits are malformed putmanifest bodies: each must fail to
+// decode with ErrProto (shared with the fuzz seeds).
+func hostileCommits() map[string][]byte {
+	head, _ := encodeCommit("n", nil, nil) // u16 len | "n" | u32 0
+	prefix := head[:3]
+	ck := codecChunk("x")
+	valid, _ := encodeCommit("n", []chunk.Chunk{ck}, []chunk.ID{ck.ID})
+
+	count := binary.BigEndian.AppendUint32(append([]byte{}, prefix...), 1<<30)
+	pastBody := binary.BigEndian.AppendUint32(append([]byte{}, prefix...), 1)
+	pastBody = append(pastBody, ck.ID[:]...)
+	pastBody = binary.BigEndian.AppendUint32(pastBody, 1<<20)
+	pastBody = append(pastBody, ck.Data...)
+	return map[string][]byte{
+		"no chunk list":      prefix,
+		"hostile tail count": count,
+		"tail past body":     pastBody,
+		"misaligned IDs":     append(append([]byte{}, valid...), 0xAB),
+		"truncated tail":     valid[:len(valid)-chunk.IDSize-1],
+	}
+}
+
+func TestCommitHostile(t *testing.T) {
+	for name, body := range hostileCommits() {
+		t.Run(name, func(t *testing.T) {
+			if _, _, _, err := decodeCommit(body); !errors.Is(err, ErrProto) {
+				t.Fatalf("hostile commit not rejected with ErrProto: %v", err)
+			}
+		})
+	}
+}
+
+// TestEncodersAllocateOnce pins the up-front sizing of the upload
+// encoders: the request body is their only allocation, so a tail
+// payload is copied into it exactly once and never regrown.
+func TestEncodersAllocateOnce(t *testing.T) {
+	chunks := make([]chunk.Chunk, 64)
+	for i := range chunks {
+		data := bytes.Repeat([]byte{byte(i)}, 8192)
+		chunks[i] = chunk.Chunk{ID: chunk.Sum(data), Data: data}
+	}
+	ids := make([]chunk.ID, 256)
+	if n := testing.AllocsPerRun(20, func() { _ = encodeChunkList(chunks) }); n != 1 {
+		t.Errorf("encodeChunkList: %v allocations per encode, want 1", n)
+	}
+	if n := testing.AllocsPerRun(20, func() { _, _ = encodeCommit("stream", chunks, ids) }); n != 1 {
+		t.Errorf("encodeCommit: %v allocations per encode, want 1", n)
+	}
+}
+
 func TestIDListRoundTrip(t *testing.T) {
 	in := []chunk.ID{chunk.Sum([]byte("1")), chunk.Sum([]byte("2"))}
 	out, err := decodeIDList(encodeIDList(in))

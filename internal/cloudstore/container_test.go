@@ -87,8 +87,8 @@ func TestContainerSealSupersedesStagedChunks(t *testing.T) {
 		id, data := mkPayload(int64(100+i), 700) // 3 chunks per 2 KiB container
 		ids = append(ids, id)
 		payloads = append(payloads, data)
-		if !srv.storeChunk(id, data) {
-			t.Fatalf("chunk %d not stored", i)
+		if fresh, err := srv.storeChunk(id, data); err != nil || !fresh {
+			t.Fatalf("chunk %d not stored: fresh=%v err=%v", i, fresh, err)
 		}
 	}
 	srv.FlushContainers()

@@ -21,13 +21,34 @@ func FuzzHandlers(f *testing.F) {
 	f.Add(encodeRangeList(1, []Locator{{Offset: 0, Length: 0xFFFFFFFF}}))
 	f.Add(encodeRangeList(1, []Locator{{Offset: 8, Length: 40}, {Offset: 20, Length: 4}}))
 	f.Add(encodeRangeList(1, []Locator{{Offset: 0xFFFFFFF0, Length: 0x20}}))
+	// Commits: a tail that stores the seeded chunk again, an empty tail
+	// over it, a manifest naming an absent chunk, and the malformed
+	// bodies (hostile tail count, tail past the body, misaligned IDs).
+	stored := chunk.Chunk{ID: id, Data: data}
+	for _, c := range []struct {
+		tail []chunk.Chunk
+		ids  []chunk.ID
+	}{
+		{[]chunk.Chunk{stored}, []chunk.ID{id, id}},
+		{nil, []chunk.ID{id}},
+		{nil, []chunk.ID{chunk.Sum([]byte("absent"))}},
+	} {
+		if body, err := encodeCommit("seed", c.tail, c.ids); err == nil {
+			f.Add(body)
+		}
+	}
+	for _, body := range hostileCommits() {
+		f.Add(body)
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		srv, err := NewServer(Config{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer srv.Close()
-		srv.storeChunk(id, data)
+		if _, err := srv.storeChunk(id, data); err != nil {
+			t.Fatal(err)
+		}
 		srv.FlushContainers()
 		handlers := []func([]byte) ([]byte, error){
 			srv.handleUpload,
@@ -67,6 +88,15 @@ func FuzzCloudCodecs(f *testing.F) {
 	f.Add(encodeRecipe([]RecipeEntry{{ID: ck.ID, Loc: Locator{Container: 1, Offset: 0xFFFFFFFF, Length: 2}}}))
 	f.Add(encodeStats(Stats{UniqueChunks: 1}))
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}) // hostile count prefix
+	if body, err := encodeCommit("name", nil, nil); err == nil {
+		f.Add(body) // empty tail, empty manifest
+	}
+	if body, err := encodeCommit("name", []chunk.Chunk{ck}, []chunk.ID{ck.ID}); err == nil {
+		f.Add(body)
+	}
+	for _, body := range hostileCommits() {
+		f.Add(body)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		check := func(what string, err error) {
 			t.Helper()
@@ -82,6 +112,8 @@ func FuzzCloudCodecs(f *testing.F) {
 		check("decodeIDList", err)
 		_, _, err = decodeNamedBlob(data)
 		check("decodeNamedBlob", err)
+		_, _, _, err = decodeCommit(data)
+		check("decodeCommit", err)
 		_, err = decodeManifestIDs(data)
 		check("decodeManifestIDs", err)
 		_, err = decodeRecipe(data)
