@@ -77,10 +77,12 @@ fuzz-short:
 
 # Crash/recovery suite under the race detector: kill-restart-rejoin
 # e2e (torn WAL tail, anti-entropy convergence, membership growth) plus
-# the WAL/snapshot durability and repair unit tests.
+# the WAL/snapshot durability, repair and hinted-handoff unit tests
+# (hints are the only path that delivers a missed write before the next
+# anti-entropy round).
 chaos:
 	$(GO) test -race -count=2 -run 'TestDurableRingSurvivesKillRestartRejoin|TestAgentSurvives|TestRestoreSurvives' ./internal/faultnet
-	$(GO) test -race -count=2 -run 'TestWAL|TestSnapshot|TestRepair|TestProbe' ./internal/kvstore
+	$(GO) test -race -count=2 -run 'TestWAL|TestSnapshot|TestRepair|TestProbe|TestHintedHandoff' ./internal/kvstore
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

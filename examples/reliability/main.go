@@ -30,7 +30,6 @@ import (
 	"time"
 
 	"efdedup"
-	"efdedup/internal/kvstore"
 	"efdedup/internal/transport"
 )
 
@@ -64,7 +63,7 @@ func run() error {
 	idx, err := efdedup.NewIndexCluster(efdedup.IndexClusterConfig{
 		Members:           addrs,
 		ReplicationFactor: 2,
-		WriteConsistency:  kvstore.All,
+		WriteConsistency:  efdedup.All,
 		Network:           nw,
 	})
 	if err != nil {

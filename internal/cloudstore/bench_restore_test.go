@@ -104,12 +104,14 @@ func BenchmarkCloudRestore(b *testing.B) {
 }
 
 // BenchmarkCloudRestoreSerial is the pre-container baseline: fetch the
-// manifest, then one GetChunk round trip per chunk, in order.
+// manifest, then one cloud.getchunks round trip per chunk (one ID per
+// call), in order.
 func BenchmarkCloudRestoreSerial(b *testing.B) {
 	cl, names, total := benchRestoreSetup(b)
 	ctx := context.Background()
 	b.SetBytes(total)
 	b.ResetTimer()
+	one := make([]chunk.ID, 1)
 	for i := 0; i < b.N; i++ {
 		for _, name := range names {
 			ids, err := cl.GetManifest(ctx, name)
@@ -117,11 +119,12 @@ func BenchmarkCloudRestoreSerial(b *testing.B) {
 				b.Fatal(err)
 			}
 			for _, id := range ids {
-				data, err := cl.GetChunk(ctx, id)
+				one[0] = id
+				data, err := cl.GetChunks(ctx, one)
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := io.Discard.Write(data); err != nil {
+				if _, err := io.Discard.Write(data[0]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -145,7 +145,7 @@ func TestPutManifestDurableFirst(t *testing.T) {
 	ctx := context.Background()
 
 	c := mkChunk("manifest body chunk")
-	if _, err := cl.Upload(ctx, c); err != nil {
+	if _, err := cl.BatchUpload(ctx, []chunk.Chunk{c}); err != nil {
 		t.Fatal(err)
 	}
 	breakManifestDir(t, dir)
@@ -204,10 +204,7 @@ func TestFailedChunkWriteIsNotAcknowledged(t *testing.T) {
 	ctx := context.Background()
 	breakChunkDir(t, dir)
 
-	single, batched, tail := mkChunk("single"), mkChunk("batched"), mkChunk("tail")
-	if _, err := cl.Upload(ctx, single); err == nil {
-		t.Error("Upload acknowledged a chunk whose write failed")
-	}
+	batched, tail := mkChunk("batched"), mkChunk("tail")
 	if _, err := cl.BatchUpload(ctx, []chunk.Chunk{batched}); err == nil {
 		t.Error("BatchUpload acknowledged a chunk whose write failed")
 	}
@@ -217,7 +214,7 @@ func TestFailedChunkWriteIsNotAcknowledged(t *testing.T) {
 	if err := cl.PutManifest(ctx, "committed", []chunk.ID{tail.ID}, tail); err == nil {
 		t.Error("PutManifest acknowledged a tail chunk whose write failed")
 	}
-	held, err := cl.BatchHas(ctx, []chunk.ID{single.ID, batched.ID, tail.ID})
+	held, err := cl.BatchHas(ctx, []chunk.ID{batched.ID, tail.ID})
 	if err != nil {
 		t.Fatal(err)
 	}

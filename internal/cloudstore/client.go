@@ -19,9 +19,9 @@ import (
 // failure series are pre-resolved per client so the hot path records
 // without a registry lookup.
 var clientMethods = []string{
-	methodUpload, methodBatchUpload, methodBatchHas, methodUploadRaw,
-	methodGetChunk, methodGetChunks, methodGetRecipe, methodGetContainer,
-	methodPutManifest, methodGetManifest, methodStats,
+	methodBatchUpload, methodBatchHas, methodUploadRaw, methodGetChunks,
+	methodGetRecipe, methodGetContainer, methodPutManifest, methodGetManifest,
+	methodStats,
 }
 
 // Dialer is the dial half of a transport network.
@@ -167,15 +167,6 @@ func (c *Client) call(ctx context.Context, method string, body []byte) ([]byte, 
 	return resp, err
 }
 
-// Upload stores one chunk, returning whether the cloud had not seen it.
-func (c *Client) Upload(ctx context.Context, ck chunk.Chunk) (fresh bool, err error) {
-	resp, err := c.call(ctx, methodUpload, encodeChunkFrame(ck))
-	if err != nil {
-		return false, err
-	}
-	return len(resp) == 1 && resp[0] == 1, nil
-}
-
 // BatchUpload stores many chunks in one RPC and returns how many were new.
 func (c *Client) BatchUpload(ctx context.Context, chunks []chunk.Chunk) (stored int, err error) {
 	resp, err := c.call(ctx, methodBatchUpload, encodeChunkList(chunks))
@@ -222,18 +213,6 @@ func (c *Client) UploadRaw(ctx context.Context, name string, data []byte) (store
 	return int(binary.BigEndian.Uint32(resp)), nil
 }
 
-// GetChunk fetches one chunk's payload.
-func (c *Client) GetChunk(ctx context.Context, id chunk.ID) ([]byte, error) {
-	resp, err := c.call(ctx, methodGetChunk, id[:])
-	if err != nil {
-		if isRemoteNotFound(err) {
-			return nil, ErrNotFound
-		}
-		return nil, err
-	}
-	return resp, nil
-}
-
 // PutManifest commits a named file in one RPC: the cloud stores tail —
 // the stream's final upload batch, possibly empty — and then records ids
 // as the file's chunk sequence. The cloud refuses a manifest naming a
@@ -252,10 +231,7 @@ func (c *Client) PutManifest(ctx context.Context, name string, ids []chunk.ID, t
 func (c *Client) GetManifest(ctx context.Context, name string) ([]chunk.ID, error) {
 	resp, err := c.call(ctx, methodGetManifest, []byte(name))
 	if err != nil {
-		if isRemoteNotFound(err) {
-			return nil, ErrNotFound
-		}
-		return nil, err
+		return nil, classifyRemote(err)
 	}
 	ids, err := decodeManifestIDs(resp)
 	if err != nil {
@@ -271,11 +247,6 @@ func (c *Client) FetchStats(ctx context.Context) (Stats, error) {
 		return Stats{}, err
 	}
 	return decodeStats(resp)
-}
-
-func isRemoteNotFound(err error) bool {
-	var remote *transport.RemoteError
-	return errors.As(err, &remote) && remote.Msg == ErrNotFound.Error()
 }
 
 // classifyRemote maps a server-side application error back onto the

@@ -34,11 +34,9 @@ import (
 
 // RPC method names served by the cloud store.
 const (
-	methodUpload       = "cloud.upload"
 	methodBatchUpload  = "cloud.batchupload"
 	methodBatchHas     = "cloud.batchhas"
 	methodUploadRaw    = "cloud.uploadraw"
-	methodGetChunk     = "cloud.getchunk"
 	methodGetChunks    = "cloud.getchunks"
 	methodGetRecipe    = "cloud.getrecipe"
 	methodGetContainer = "cloud.getcontainer"
@@ -193,11 +191,9 @@ func NewServer(cfg Config) (*Server, error) {
 	} else {
 		s.containers = newContainerStore(nil, cfg.ContainerBytes, cfg.DupFraction, cfg.SparseRefLimit, startID)
 	}
-	s.handle(methodUpload, s.handleUpload)
 	s.handle(methodBatchUpload, s.handleBatchUpload)
 	s.handle(methodBatchHas, s.handleBatchHas)
 	s.handle(methodUploadRaw, s.handleUploadRaw)
-	s.handle(methodGetChunk, s.handleGetChunk)
 	s.handle(methodGetChunks, s.handleGetChunks)
 	s.handle(methodGetRecipe, s.handleGetRecipe)
 	s.handle(methodGetContainer, s.handleGetContainer)
@@ -396,25 +392,6 @@ func (s *Server) repackSparse(ids []chunk.ID) {
 
 // --- handlers ----------------------------------------------------------
 
-// upload body: 32-byte ID | payload. Verifies content addressing.
-func (s *Server) handleUpload(body []byte) ([]byte, error) {
-	id, data, err := decodeChunkFrame(body)
-	if err != nil {
-		return nil, err
-	}
-	if chunk.Sum(data) != id {
-		return nil, fmt.Errorf("%w: chunk content does not match its ID", ErrCorrupt)
-	}
-	fresh, err := s.storeChunk(id, data)
-	if err != nil {
-		return nil, err
-	}
-	if fresh {
-		return []byte{1}, nil
-	}
-	return []byte{0}, nil
-}
-
 // batch upload body: u32 count | (32-byte ID | u32 len | payload)*.
 func (s *Server) handleBatchUpload(body []byte) ([]byte, error) {
 	chunks, err := decodeChunkList(body)
@@ -500,15 +477,6 @@ func (s *Server) handleUploadRaw(body []byte) ([]byte, error) {
 	return binary.BigEndian.AppendUint32(nil, stored), nil
 }
 
-func (s *Server) handleGetChunk(body []byte) ([]byte, error) {
-	if len(body) != chunk.IDSize {
-		return nil, fmt.Errorf("%w: bad chunk ID length", ErrProto)
-	}
-	var id chunk.ID
-	copy(id[:], body)
-	return s.chunkData(id)
-}
-
 // getchunks body: u32 count | (32-byte ID)*; response: (u32 len |
 // payload)* in request order. The batched fallback for chunks that are
 // not (yet) in any sealed container.
@@ -584,8 +552,7 @@ func (s *Server) handlePutManifest(body []byte) ([]byte, error) {
 	}
 	s.mu.RUnlock()
 	// Durable-first, then memory: a manifest the disk refused must never
-	// be advertised from the in-memory catalog (the same ordering bug
-	// kvstore handlePutNX had — apply, then fail to log — in reverse).
+	// be advertised from the in-memory catalog.
 	if s.disk != nil {
 		if err := s.disk.PutManifest(name, ids); err != nil {
 			return nil, fmt.Errorf("cloudstore: persist manifest %q: %w", name, err)

@@ -311,7 +311,7 @@ func TestRestoreNamesCorruptStagedChunk(t *testing.T) {
 	ctx := context.Background()
 
 	c := mkChunk("soon to be damaged on disk")
-	if _, err := cl.Upload(ctx, c); err != nil {
+	if _, err := cl.BatchUpload(ctx, []chunk.Chunk{c}); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.PutManifest(ctx, "fragile", []chunk.ID{c.ID}); err != nil {

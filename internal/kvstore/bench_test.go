@@ -9,8 +9,8 @@ import (
 )
 
 // benchRingCluster spins up n nodes plus a cluster with the given
-// replication and consistency.
-func benchRingCluster(b *testing.B, n, rf int, read, write Consistency) *Cluster {
+// replication and write consistency.
+func benchRingCluster(b *testing.B, n, rf int, write Consistency) *Cluster {
 	b.Helper()
 	nw := transport.NewMemNetwork()
 	addrs := make([]string, n)
@@ -31,7 +31,6 @@ func benchRingCluster(b *testing.B, n, rf int, read, write Consistency) *Cluster
 	c, err := NewCluster(ClusterConfig{
 		Members:           addrs,
 		ReplicationFactor: rf,
-		ReadConsistency:   read,
 		WriteConsistency:  write,
 		LocalAddr:         addrs[0],
 		Network:           nw,
@@ -52,7 +51,7 @@ func benchKeys(n int) [][]byte {
 }
 
 func BenchmarkBatchHas(b *testing.B) {
-	c := benchRingCluster(b, 4, 2, One, One)
+	c := benchRingCluster(b, 4, 2, One)
 	ctx := context.Background()
 	keys := benchKeys(64)
 	values := make([][]byte, len(keys))
@@ -71,7 +70,7 @@ func BenchmarkBatchHas(b *testing.B) {
 }
 
 func BenchmarkBatchPut(b *testing.B) {
-	c := benchRingCluster(b, 4, 2, One, One)
+	c := benchRingCluster(b, 4, 2, One)
 	ctx := context.Background()
 	keys := benchKeys(64)
 	values := make([][]byte, len(keys))
@@ -86,32 +85,12 @@ func BenchmarkBatchPut(b *testing.B) {
 	}
 }
 
-// BenchmarkConsistencyAblation compares read latency at ONE vs QUORUM vs
-// ALL — the availability/latency knob the agent leaves at ONE.
-func BenchmarkConsistencyAblation(b *testing.B) {
-	for _, cons := range []Consistency{One, Quorum, All} {
-		b.Run(cons.String(), func(b *testing.B) {
-			c := benchRingCluster(b, 3, 3, cons, All)
-			ctx := context.Background()
-			if err := c.Put(ctx, []byte("k"), []byte("v")); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := c.Get(ctx, []byte("k")); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkReplicationFactorAblation sweeps γ — the paper's V(P) term
 // depends on 1-γ/|P|, and higher γ also multiplies write fan-out.
 func BenchmarkReplicationFactorAblation(b *testing.B) {
 	for _, rf := range []int{1, 2, 3} {
 		b.Run(fmt.Sprintf("rf=%d", rf), func(b *testing.B) {
-			c := benchRingCluster(b, 4, rf, One, One)
+			c := benchRingCluster(b, 4, rf, One)
 			ctx := context.Background()
 			keys := benchKeys(32)
 			values := make([][]byte, len(keys))

@@ -2,7 +2,6 @@ package kvstore
 
 import (
 	"context"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -67,9 +66,8 @@ type ClusterConfig struct {
 	// ReplicationFactor is γ: how many nodes hold each key. Defaults
 	// to 2 (the paper's choice); clamped to len(Members).
 	ReplicationFactor int
-	// ReadConsistency and WriteConsistency default to One, matching
-	// the eventual-consistency deployment in the paper.
-	ReadConsistency  Consistency
+	// WriteConsistency defaults to One, matching the eventual-consistency
+	// deployment in the paper.
 	WriteConsistency Consistency
 	// LocalAddr, when set to one of Members, is preferred for lookups
 	// whose replica set contains it — the "consult its local Cassandra
@@ -141,7 +139,7 @@ type Cluster struct {
 	mu      sync.Mutex
 	clients map[string]*transport.Client
 	down    map[string]bool
-	hints   map[string][]hint
+	hints   map[string][]record
 
 	stopHealth chan struct{}
 	healthDone chan struct{}
@@ -174,8 +172,7 @@ type clusterMetrics struct {
 // clientMethods are the RPC methods a coordinator issues (kv.ping is
 // covered too: health probes ride the same path).
 var clientMethods = []string{
-	methodGet, methodPut, methodPutNX, methodBatchHas, methodBatchPut,
-	methodScan, methodPing, methodStats, methodDigest, methodPull,
+	methodBatchHas, methodBatchPut, methodScan, methodPing, methodDigest, methodPull,
 }
 
 func newClusterMetrics(reg *metrics.Registry) clusterMetrics {
@@ -199,11 +196,6 @@ func newClusterMetrics(reg *metrics.Registry) clusterMetrics {
 	return m
 }
 
-type hint struct {
-	key []byte
-	e   Entry
-}
-
 // NewCluster validates cfg and builds a coordinator.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if len(cfg.Members) == 0 {
@@ -217,9 +209,6 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	if cfg.ReplicationFactor > len(cfg.Members) {
 		cfg.ReplicationFactor = len(cfg.Members)
-	}
-	if cfg.ReadConsistency == 0 {
-		cfg.ReadConsistency = One
 	}
 	if cfg.WriteConsistency == 0 {
 		cfg.WriteConsistency = One
@@ -272,7 +261,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 		budget:   cfg.RetryBudget,
 		clients:  make(map[string]*transport.Client),
 		down:     make(map[string]bool),
-		hints:    make(map[string][]hint),
+		hints:    make(map[string][]record),
 		met:      newClusterMetrics(reg),
 	}
 	// Per-member live gauges. Registration replaces any previous cluster's
@@ -365,7 +354,7 @@ func (c *Cluster) dropClient(addr string, cl *transport.Client) {
 // call performs one RPC against addr under the retry policy and the
 // address's circuit breaker: transient transport failures are retried
 // with jittered backoff (within the retry budget) and every attempt is
-// bounded by CallTimeout. Remote application errors (like ErrNotFound)
+// bounded by CallTimeout. Remote application errors (like ErrProto)
 // do not tear down the connection, are never retried and count as
 // breaker successes; transport failures drop the connection so the next
 // attempt redials.
@@ -439,187 +428,6 @@ func (c *Cluster) isDown(addr string) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.down[addr]
-}
-
-// Put replicates key=value to γ nodes and waits for the configured write
-// consistency. Unreachable replicas receive hints replayed when they
-// recover.
-func (c *Cluster) Put(ctx context.Context, key, value []byte) error {
-	e := Entry{Value: value, Version: c.nextVersion()}
-	return c.putEntry(ctx, key, e)
-}
-
-func (c *Cluster) putEntry(ctx context.Context, key []byte, e Entry) error {
-	reps := c.replicas(key)
-	need := c.cfg.WriteConsistency.required(len(reps))
-	body := encodeEntry(nil, key, e)
-
-	type result struct {
-		addr string
-		err  error
-	}
-	results := make(chan result, len(reps))
-	for _, addr := range reps {
-		go func(addr string) {
-			_, err := c.call(ctx, addr, methodPut, body)
-			results <- result{addr: addr, err: err}
-		}(addr)
-	}
-	acks := 0
-	var firstErr error
-	for range reps {
-		r := <-results
-		if r.err == nil {
-			acks++
-			continue
-		}
-		if firstErr == nil {
-			firstErr = r.err
-		}
-		c.storeHint(r.addr, key, e)
-	}
-	if acks >= need {
-		return nil
-	}
-	return fmt.Errorf("%w: %d/%d acks at %s: %v", ErrNoQuorum, acks, need,
-		c.cfg.WriteConsistency, firstErr)
-}
-
-// Get reads key at the configured read consistency, resolving conflicts by
-// highest version and repairing stale replicas in the background.
-func (c *Cluster) Get(ctx context.Context, key []byte) ([]byte, error) {
-	reps := c.replicas(key)
-	need := c.cfg.ReadConsistency.required(len(reps))
-
-	type reply struct {
-		addr  string
-		entry Entry
-		found bool
-		err   error
-	}
-	replies := make([]reply, 0, len(reps))
-	// Contact replicas in preference order until enough answered.
-	for _, addr := range reps {
-		if c.isDown(addr) && len(reps) > need {
-			continue
-		}
-		resp, err := c.call(ctx, addr, methodGet, key)
-		switch {
-		case err == nil && len(resp) >= 8:
-			replies = append(replies, reply{
-				addr:  addr,
-				entry: Entry{Version: binary.BigEndian.Uint64(resp), Value: resp[8:]},
-				found: true,
-			})
-		case isNotFound(err):
-			replies = append(replies, reply{addr: addr})
-		default:
-			replies = append(replies, reply{addr: addr, err: err})
-		}
-		answered := 0
-		found := false
-		for _, r := range replies {
-			if r.err == nil {
-				answered++
-				if r.found {
-					found = true
-				}
-			}
-		}
-		// A NotFound from one replica is not authoritative while other
-		// replicas remain (it may simply not have received the key yet,
-		// e.g. right after a membership change); keep probing until a
-		// value turns up or every replica has answered.
-		if answered >= need && found {
-			break
-		}
-	}
-
-	answered := 0
-	best := reply{}
-	for _, r := range replies {
-		if r.err != nil {
-			continue
-		}
-		answered++
-		if r.found && (!best.found || r.entry.Version > best.entry.Version) {
-			best = r
-		}
-	}
-	if answered < need {
-		return nil, fmt.Errorf("%w: %d/%d replies at %s", ErrNoQuorum, answered, need, c.cfg.ReadConsistency)
-	}
-	if !best.found {
-		return nil, ErrNotFound
-	}
-	// Read repair: push the winning entry to replicas that returned an
-	// older or missing value.
-	for _, r := range replies {
-		if r.err != nil || r.addr == best.addr {
-			continue
-		}
-		if !r.found || r.entry.Version < best.entry.Version {
-			addr, e := r.addr, best.entry
-			go func() {
-				body := encodeEntry(nil, key, e)
-				if _, err := c.call(context.Background(), addr, methodPut, body); err != nil {
-					// A failed repair leaves the replica stale; park the
-					// entry as a hint so healthLoop re-delivers it once
-					// the replica answers pings again.
-					c.storeHint(addr, key, e)
-				}
-			}()
-		}
-	}
-	return best.entry.Value, nil
-}
-
-func isNotFound(err error) bool {
-	var remote *transport.RemoteError
-	return errors.As(err, &remote) && remote.Msg == ErrNotFound.Error()
-}
-
-// PutIfAbsent stores key=value when no replica in preference order already
-// has it, returning whether the key existed. The check-and-set is atomic
-// on the first reachable replica; remaining replicas are updated
-// asynchronously — exactly the semantics a dedup index needs, where a
-// rare double-store is harmless.
-func (c *Cluster) PutIfAbsent(ctx context.Context, key, value []byte) (existed bool, err error) {
-	e := Entry{Value: value, Version: c.nextVersion()}
-	body := encodeEntry(nil, key, e)
-	reps := c.replicas(key)
-	var firstErr error
-	for i, addr := range reps {
-		resp, callErr := c.call(ctx, addr, methodPutNX, body)
-		if callErr != nil {
-			if firstErr == nil {
-				firstErr = callErr
-			}
-			continue
-		}
-		existed = len(resp) == 1 && resp[0] == 1
-		// Propagate to the remaining replicas asynchronously.
-		for _, other := range append(reps[:i:i], reps[i+1:]...) {
-			other := other
-			go func() {
-				if _, err := c.call(context.Background(), other, methodPut, body); err != nil {
-					c.storeHint(other, key, e)
-				}
-			}()
-		}
-		return existed, nil
-	}
-	return false, fmt.Errorf("kvstore: put-if-absent: no replica reachable: %w", firstErr)
-}
-
-// Has reports whether key is present on any preferred replica (ONE-style
-// membership probe).
-func (c *Cluster) Has(ctx context.Context, key []byte) (bool, error) {
-	found, err := c.BatchHas(ctx, [][]byte{key})
-	if err != nil {
-		return false, err
-	}
-	return found[0], nil
 }
 
 // BatchHas answers membership for many keys with one RPC per contacted
@@ -779,8 +587,7 @@ func (e *PartialWriteError) Error() string {
 // Unwrap exposes both the quorum sentinel and the replica cause.
 func (e *PartialWriteError) Unwrap() []error { return []error{ErrNoQuorum, e.Cause} }
 
-// BatchPut stores many key/value pairs, grouping records per replica so a
-// ring write costs O(replica nodes) RPCs instead of O(keys). The batch
+// BatchPut stores many key/value pairs at fresh versions. The batch
 // succeeds when every key reached at least the configured write
 // consistency; replicas that were unreachable receive hints. A failure is
 // a *PartialWriteError naming exactly which keys missed their target —
@@ -790,39 +597,45 @@ func (c *Cluster) BatchPut(ctx context.Context, keys, values [][]byte) error {
 	if len(keys) != len(values) {
 		return fmt.Errorf("%w: %d keys but %d values", ErrConfig, len(keys), len(values))
 	}
-	type record struct {
-		idx int
-		key []byte
-		e   Entry
-	}
-	groups := make(map[string][]record)
-	needed := make([]int, len(keys))
-	acks := make([]int, len(keys))
+	recs := make([]record, len(keys))
 	for i, key := range keys {
-		e := Entry{Value: values[i], Version: c.nextVersion()}
-		reps := c.replicas(key)
+		recs[i] = record{key: key, e: Entry{Value: values[i], Version: c.nextVersion()}}
+	}
+	return c.putRecords(ctx, recs)
+}
+
+// putRecords writes records, versions unchanged, to their current replica
+// sets. Records are grouped per replica, so the write costs one
+// kv.batchput per replica node instead of one RPC per key; acks are
+// tallied per record against the write consistency.
+func (c *Cluster) putRecords(ctx context.Context, recs []record) error {
+	groups := make(map[string][]int) // replica -> indices into recs
+	needed := make([]int, len(recs))
+	acks := make([]int, len(recs))
+	for i, r := range recs {
+		reps := c.replicas(r.key)
 		needed[i] = c.cfg.WriteConsistency.required(len(reps))
 		for _, addr := range reps {
-			groups[addr] = append(groups[addr], record{idx: i, key: key, e: e})
+			groups[addr] = append(groups[addr], i)
 		}
 	}
-	// Replica writes go out concurrently; acks are tallied per key.
+	// Replica writes go out concurrently.
 	var (
 		wg       sync.WaitGroup
 		tallyMu  sync.Mutex
 		firstErr error
 	)
-	for addr, recs := range groups {
+	for addr, idxs := range groups {
 		wg.Add(1)
-		go func(addr string, recs []record) {
+		go func(addr string, idxs []int) {
 			defer wg.Done()
-			body := binary.BigEndian.AppendUint32(nil, uint32(len(recs)))
-			for _, r := range recs {
-				body = encodeEntry(body, r.key, r.e)
+			batch := make([]record, len(idxs))
+			for j, i := range idxs {
+				batch[j] = recs[i]
 			}
-			if _, err := c.call(ctx, addr, methodBatchPut, body); err != nil {
-				for _, r := range recs {
-					c.storeHint(addr, r.key, r.e)
+			if _, err := c.call(ctx, addr, methodBatchPut, encodeRecords(batch)); err != nil {
+				for _, r := range batch {
+					c.storeHint(addr, r)
 				}
 				tallyMu.Lock()
 				if firstErr == nil {
@@ -832,22 +645,22 @@ func (c *Cluster) BatchPut(ctx context.Context, keys, values [][]byte) error {
 				return
 			}
 			tallyMu.Lock()
-			for _, r := range recs {
-				acks[r.idx]++
+			for _, i := range idxs {
+				acks[i]++
 			}
 			tallyMu.Unlock()
-		}(addr, recs)
+		}(addr, idxs)
 	}
 	wg.Wait()
 	var failed [][]byte
 	for i, got := range acks {
 		if got < needed[i] {
 			//lint:ignore hotalloc failure path only: stays nil when every replica acks, so the fast path never allocates
-			failed = append(failed, keys[i])
+			failed = append(failed, recs[i].key)
 		}
 	}
 	if len(failed) > 0 {
-		return &PartialWriteError{FailedKeys: failed, Total: len(keys), Cause: firstErr}
+		return &PartialWriteError{FailedKeys: failed, Total: len(recs), Cause: firstErr}
 	}
 	return nil
 }
@@ -857,24 +670,6 @@ func (c *Cluster) BatchPut(ctx context.Context, keys, values [][]byte) error {
 // fraction.
 func (c *Cluster) LookupStats() (local, remote int64) {
 	return c.localLookups.Load(), c.remoteLookups.Load()
-}
-
-// MemberStats fetches operation counters from every member.
-func (c *Cluster) MemberStats(ctx context.Context) (map[string]NodeStats, error) {
-	members := c.Members()
-	out := make(map[string]NodeStats, len(members))
-	for _, addr := range members {
-		resp, err := c.call(ctx, addr, methodStats, nil)
-		if err != nil {
-			return nil, err
-		}
-		s, err := decodeStats(resp)
-		if err != nil {
-			return nil, err
-		}
-		out[addr] = s
-	}
-	return out, nil
 }
 
 // Members returns the current member addresses.
@@ -889,12 +684,12 @@ func (c *Cluster) Members() []string {
 
 // --- health & hints ----------------------------------------------------
 
-// storeHint queues an entry for later delivery to an unreachable replica.
-func (c *Cluster) storeHint(addr string, key []byte, e Entry) {
-	k := make([]byte, len(key))
-	copy(k, key)
+// storeHint queues a record for later delivery to an unreachable replica.
+func (c *Cluster) storeHint(addr string, r record) {
+	k := make([]byte, len(r.key))
+	copy(k, r.key)
 	c.mu.Lock()
-	c.hints[addr] = append(c.hints[addr], hint{key: k, e: e})
+	c.hints[addr] = append(c.hints[addr], record{key: k, e: r.e})
 	c.down[addr] = true
 	c.mu.Unlock()
 	c.met.hints.Inc()
@@ -939,7 +734,7 @@ func (c *Cluster) checkMembers() {
 			c.mu.Lock()
 			wasDown := c.down[addr]
 			c.down[addr] = err != nil
-			var replay []hint
+			var replay []record
 			if err == nil && wasDown && len(c.hints[addr]) > 0 {
 				replay = c.hints[addr]
 				delete(c.hints, addr)
@@ -962,19 +757,15 @@ const hintReplayBatch = 128
 // keeps its remaining hints and the next recovery resumes from there.
 // Entries carry versions and nodes apply last-write-wins, so replay
 // order and double delivery are both harmless.
-func (c *Cluster) replayHints(addr string, hints []hint) {
+func (c *Cluster) replayHints(addr string, hints []record) {
 	for start := 0; start < len(hints); start += hintReplayBatch {
 		end := start + hintReplayBatch
 		if end > len(hints) {
 			end = len(hints)
 		}
 		batch := hints[start:end]
-		body := binary.BigEndian.AppendUint32(nil, uint32(len(batch)))
-		for _, h := range batch {
-			body = encodeEntry(body, h.key, h.e)
-		}
 		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.CallTimeout)
-		_, err := c.callAttempt(ctx, addr, methodBatchPut, body)
+		_, err := c.callAttempt(ctx, addr, methodBatchPut, encodeRecords(batch))
 		cancel()
 		if err != nil {
 			c.mu.Lock()

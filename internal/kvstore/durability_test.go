@@ -222,6 +222,12 @@ func TestWALClosedOperations(t *testing.T) {
 	}
 }
 
+// putOne stores one entry through the node's kv.batchput handler.
+func putOne(n *Node, key string, e Entry) error {
+	_, err := n.handleBatchPut(encodeRecords([]record{{key: []byte(key), e: e}}))
+	return err
+}
+
 func TestSnapshotRecoversWithWALSuffix(t *testing.T) {
 	dir := t.TempDir()
 	walPath := filepath.Join(dir, "node.wal")
@@ -232,7 +238,7 @@ func TestSnapshotRecoversWithWALSuffix(t *testing.T) {
 	}
 	put := func(n *Node, k, v string, ver uint64) {
 		t.Helper()
-		if _, err := n.handlePut(encodeEntry(nil, []byte(k), Entry{Value: []byte(v), Version: ver})); err != nil {
+		if err := putOne(n, k, Entry{Value: []byte(v), Version: ver}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -279,7 +285,7 @@ func TestSnapshotCorruptionFailsLoudly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := node.handlePut(encodeEntry(nil, []byte("k"), Entry{Value: []byte("v"), Version: 1})); err != nil {
+	if err := putOne(node, "k", Entry{Value: []byte("v"), Version: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := node.Snapshot(); err != nil {
@@ -320,11 +326,12 @@ func TestWALBoundedUnderSustainedIngest(t *testing.T) {
 
 	var appended int64
 	for i := 0; i < 2000; i++ {
-		body := encodeEntry(nil, []byte(fmt.Sprintf("key-%d", i)), Entry{Value: bytes.Repeat([]byte("v"), 64), Version: uint64(i + 1)})
-		if _, err := node.handlePut(body); err != nil {
+		key := fmt.Sprintf("key-%d", i)
+		e := Entry{Value: bytes.Repeat([]byte("v"), 64), Version: uint64(i + 1)}
+		if err := putOne(node, key, e); err != nil {
 			t.Fatal(err)
 		}
-		appended += int64(8 + len(body))
+		appended += int64(8 + len(encodeEntry(nil, []byte(key), e)))
 	}
 	if appended < 4*threshold {
 		t.Fatalf("test bug: only %d bytes appended, need >> %d", appended, threshold)
@@ -369,7 +376,7 @@ func TestSnapshotTimer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Close()
-	if _, err := node.handlePut(encodeEntry(nil, []byte("k"), Entry{Value: []byte("v"), Version: 1})); err != nil {
+	if err := putOne(node, "k", Entry{Value: []byte("v"), Version: 1}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(5 * time.Second)

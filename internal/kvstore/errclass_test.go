@@ -25,8 +25,8 @@ func TestErrorClassification(t *testing.T) {
 			_, err := decodeKeyList([]byte{1})
 			return err
 		}(), ErrProto},
-		{"truncated scan response", func() error {
-			_, err := decodeScan([]byte{0, 0, 0, 1})
+		{"truncated record list", func() error {
+			_, err := decodeRecords([]byte{0, 0, 0, 1})
 			return err
 		}(), ErrProto},
 		{"empty cluster config", func() error {

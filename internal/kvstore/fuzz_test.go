@@ -197,14 +197,22 @@ func protoOrNil(t *testing.T, what string, err error) {
 
 // FuzzKVCodecs drives every kv.* body decoder with one arbitrary input:
 // each must either decode or return ErrProto — never panic, never size
-// an allocation from an unvalidated wire count.
+// an allocation from an unvalidated wire count. A record list that
+// decodes re-encodes to exactly the input: trailing bytes are refused.
 func FuzzKVCodecs(f *testing.F) {
+	three := encodeRecords([]record{
+		{key: []byte("a"), e: Entry{Version: 1, Value: []byte("x")}},
+		{key: []byte("b"), e: Entry{Version: 2, Value: []byte("y")}},
+		{key: []byte("c"), e: Entry{Version: 3, Value: []byte("z")}},
+	})
 	f.Add([]byte{})
 	f.Add(encodeEntry(nil, []byte("key"), Entry{Version: 3, Value: []byte("value")}))
 	f.Add(encodeKeyList([][]byte{[]byte("a"), []byte("b")}))
-	f.Add(encodeScan(map[string]Entry{"k": {Version: 1, Value: []byte("v")}}))
-	f.Add(encodeStats(NodeStats{Gets: 1, Puts: 2, Hits: 3, Misses: 4, Entries: 5}))
+	f.Add(encodeRecords([]record{{key: []byte("k"), e: Entry{Version: 1, Value: []byte("v")}}}))
+	f.Add(three)
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}) // hostile length prefix
+	f.Add(three[:len(three)-2])                       // third record truncated
+	f.Add(append(append([]byte{}, three...), 0xEE))   // trailing byte
 	f.Fuzz(func(t *testing.T, data []byte) {
 		_, _, err := readBytes(data)
 		protoOrNil(t, "readBytes", err)
@@ -212,10 +220,11 @@ func FuzzKVCodecs(f *testing.F) {
 		protoOrNil(t, "decodeEntry", err)
 		_, err = decodeKeyList(data)
 		protoOrNil(t, "decodeKeyList", err)
-		_, err = decodeScan(data)
-		protoOrNil(t, "decodeScan", err)
-		_, err = decodeStats(data)
-		protoOrNil(t, "decodeStats", err)
+		recs, err := decodeRecords(data)
+		protoOrNil(t, "decodeRecords", err)
+		if err == nil && !bytes.Equal(encodeRecords(recs), data) {
+			t.Fatalf("record list of %d records does not re-encode to its %d input bytes", len(recs), len(data))
+		}
 	})
 }
 
@@ -242,14 +251,14 @@ func FuzzRepairCodecs(f *testing.F) {
 	})
 }
 
-// FuzzDecodeScan: the scan-response parser must be panic-free.
+// FuzzDecodeScan: the kv.scan response parser must be panic-free.
 func FuzzDecodeScan(f *testing.F) {
 	payload := encodeEntry(nil, []byte("k"), Entry{Value: []byte("v"), Version: 1})
 	valid := append([]byte{0, 0, 0, 1}, payload...)
 	f.Add(valid)
 	f.Add([]byte{0, 0, 0, 9})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		entries, err := decodeScan(data)
+		entries, err := decodeRecords(data)
 		if err != nil {
 			return
 		}

@@ -71,15 +71,18 @@ func TestHintedHandoffPartialReplayOnFlap(t *testing.T) {
 		Breaker:           retrypolicy.BreakerConfig{FailureThreshold: 2, OpenFor: 10 * time.Minute},
 	})
 
-	// Queue more than one replay batch of hints while kv-1 is dead. The
-	// breaker opens after the first couple of misses, so the bulk of the
-	// writes hint immediately instead of timing out one by one.
+	// Queue more than one replay batch of hints while kv-1 is dead: the
+	// one kv.batchput to kv-1 fails, so every record in it is hinted.
 	ctx := context.Background()
 	total := hintReplayBatch + 22
-	for i := 0; i < total; i++ {
-		if err := c.Put(ctx, []byte(fmt.Sprintf("key-%03d", i)), []byte("v")); err != nil {
-			t.Fatalf("Put %d at ONE with kv-1 down: %v", i, err)
-		}
+	keys := make([][]byte, total)
+	values := make([][]byte, total)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("key-%03d", i))
+		values[i] = []byte("v")
+	}
+	if err := c.BatchPut(ctx, keys, values); err != nil {
+		t.Fatalf("BatchPut at ONE with kv-1 down: %v", err)
 	}
 	if got := c.PendingHints()["kv-1"]; got != total {
 		t.Fatalf("pending hints = %d, want %d", got, total)

@@ -46,6 +46,51 @@ func testCluster(t *testing.T, nw *transport.MemNetwork, cfg ClusterConfig) *Clu
 	return c
 }
 
+// put writes one key through BatchPut.
+func put(ctx context.Context, c *Cluster, key, value []byte) error {
+	return c.BatchPut(ctx, [][]byte{key}, [][]byte{value})
+}
+
+// localGet reads an entry straight from a node's table.
+func (n *Node) localGet(key []byte) (Entry, bool) {
+	n.mu.RLock()
+	defer n.mu.RUnlock()
+	e, ok := n.table[string(key)]
+	return e, ok
+}
+
+// scanMember reads addr's whole table through kv.scan.
+func scanMember(t *testing.T, c *Cluster, addr string) map[string]Entry {
+	t.Helper()
+	resp, err := c.call(context.Background(), addr, methodScan, nil)
+	if err != nil {
+		t.Fatalf("scan %s: %v", addr, err)
+	}
+	recs, err := decodeRecords(resp)
+	if err != nil {
+		t.Fatalf("scan %s: %v", addr, err)
+	}
+	out := make(map[string]Entry, len(recs))
+	for _, r := range recs {
+		out[string(r.key)] = r.e
+	}
+	return out
+}
+
+// readKey returns the newest entry for key across its replica set, read
+// through kv.scan: the answer a read at ALL would give.
+func readKey(t *testing.T, c *Cluster, key []byte) (Entry, bool) {
+	t.Helper()
+	var best Entry
+	found := false
+	for _, addr := range c.replicas(key) {
+		if e, ok := scanMember(t, c, addr)[string(key)]; ok && (!found || e.Version > best.Version) {
+			best, found = e, true
+		}
+	}
+	return best, found
+}
+
 func TestClusterConfigValidation(t *testing.T) {
 	nw := transport.NewMemNetwork()
 	if _, err := NewCluster(ClusterConfig{Network: nw}); err == nil {
@@ -68,40 +113,50 @@ func TestPutGetRoundTrip(t *testing.T) {
 	c := testCluster(t, nw, ClusterConfig{Members: addrs, ReplicationFactor: 2})
 
 	ctx := context.Background()
-	if err := c.Put(ctx, []byte("k1"), []byte("v1")); err != nil {
+	if err := put(ctx, c, []byte("k1"), []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Get(ctx, []byte("k1"))
+	got, ok := readKey(t, c, []byte("k1"))
+	if !ok {
+		t.Fatal("k1 missing after BatchPut")
+	}
+	if string(got.Value) != "v1" {
+		t.Fatalf("read = %q, want v1", got.Value)
+	}
+	if _, ok := readKey(t, c, []byte("missing")); ok {
+		t.Fatal("read(missing) found a value")
+	}
+	found, err := c.BatchHas(ctx, [][]byte{[]byte("k1"), []byte("missing")})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != "v1" {
-		t.Fatalf("Get = %q, want v1", got)
-	}
-	if _, err := c.Get(ctx, []byte("missing")); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Get(missing) = %v, want ErrNotFound", err)
+	if !found[0] || found[1] {
+		t.Fatalf("BatchHas = %v, want [true false]", found)
 	}
 }
 
 func TestPutOverwriteLastWriteWins(t *testing.T) {
 	nw := transport.NewMemNetwork()
 	addrs := testRing(t, nw, 3)
-	c := testCluster(t, nw, ClusterConfig{Members: addrs, ReplicationFactor: 3, WriteConsistency: All, ReadConsistency: All})
+	c := testCluster(t, nw, ClusterConfig{Members: addrs, ReplicationFactor: 3, WriteConsistency: All})
 
 	ctx := context.Background()
 	key := []byte("k")
-	if err := c.Put(ctx, key, []byte("old")); err != nil {
+	if err := put(ctx, c, key, []byte("old")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Put(ctx, key, []byte("new")); err != nil {
+	if err := put(ctx, c, key, []byte("new")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Get(ctx, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "new" {
-		t.Fatalf("Get after overwrite = %q, want new", got)
+	// Every replica, not just the newest answer, holds the overwrite.
+	for _, addr := range addrs {
+		got, ok := scanMember(t, c, addr)[string(key)]
+		if !ok {
+			t.Fatalf("%s lost the key", addr)
+		}
+		if string(got.Value) != "new" {
+			t.Fatalf("%s after overwrite = %q, want new", addr, got.Value)
+		}
 	}
 }
 
@@ -133,49 +188,26 @@ func TestReplicationSurvivesNodeLoss(t *testing.T) {
 	ctx := context.Background()
 
 	keys := make([][]byte, 50)
+	values := make([][]byte, 50)
 	for i := range keys {
 		keys[i] = []byte(fmt.Sprintf("key-%03d", i))
-		if err := c.Put(ctx, keys[i], []byte("v")); err != nil {
-			t.Fatal(err)
-		}
+		values[i] = []byte("v")
+	}
+	if err := c.BatchPut(ctx, keys, values); err != nil {
+		t.Fatal(err)
 	}
 
 	// Kill one node: with RF=2 and writes at ALL, every key must still be
-	// readable at ONE through its surviving replica.
+	// found through its surviving replica.
 	nodes[2].Close()
-	for _, k := range keys {
-		if _, err := c.Get(ctx, k); err != nil {
-			t.Fatalf("Get(%s) after node loss: %v", k, err)
+	found, err := c.BatchHas(ctx, keys)
+	if err != nil {
+		t.Fatalf("BatchHas after node loss: %v", err)
+	}
+	for i, ok := range found {
+		if !ok {
+			t.Fatalf("key %s unreadable after node loss", keys[i])
 		}
-	}
-}
-
-func TestPutIfAbsent(t *testing.T) {
-	nw := transport.NewMemNetwork()
-	addrs := testRing(t, nw, 3)
-	c := testCluster(t, nw, ClusterConfig{Members: addrs, ReplicationFactor: 2})
-
-	ctx := context.Background()
-	existed, err := c.PutIfAbsent(ctx, []byte("k"), []byte("v"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if existed {
-		t.Fatal("first PutIfAbsent reported existing key")
-	}
-	existed, err = c.PutIfAbsent(ctx, []byte("k"), []byte("other"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !existed {
-		t.Fatal("second PutIfAbsent missed existing key")
-	}
-	got, err := c.Get(ctx, []byte("k"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "v" {
-		t.Fatalf("PutIfAbsent overwrote value: %q", got)
 	}
 }
 
@@ -246,13 +278,13 @@ func TestBatchHasFallbackOnNodeFailure(t *testing.T) {
 	c := testCluster(t, nw, ClusterConfig{Members: addrs, ReplicationFactor: 2, WriteConsistency: All})
 
 	ctx := context.Background()
-	var keys [][]byte
+	var keys, values [][]byte
 	for i := 0; i < 30; i++ {
-		k := []byte(fmt.Sprintf("key-%02d", i))
-		keys = append(keys, k)
-		if err := c.Put(ctx, k, []byte("v")); err != nil {
-			t.Fatal(err)
-		}
+		keys = append(keys, []byte(fmt.Sprintf("key-%02d", i)))
+		values = append(values, []byte("v"))
+	}
+	if err := c.BatchPut(ctx, keys, values); err != nil {
+		t.Fatal(err)
 	}
 	nodes[1].Close()
 	found, err := c.BatchHas(ctx, keys)
@@ -284,9 +316,9 @@ func TestWriteQuorumFailure(t *testing.T) {
 		WriteConsistency:  All,
 		CallTimeout:       200 * time.Millisecond,
 	})
-	err = c.Put(context.Background(), []byte("k"), []byte("v"))
+	err = put(context.Background(), c, []byte("k"), []byte("v"))
 	if !errors.Is(err, ErrNoQuorum) {
-		t.Fatalf("Put = %v, want ErrNoQuorum", err)
+		t.Fatalf("BatchPut = %v, want ErrNoQuorum", err)
 	}
 	if hints := c.PendingHints(); hints["kv-1"] == 0 {
 		t.Error("no hint queued for the unreachable replica")
@@ -316,8 +348,8 @@ func TestHintedHandoffReplaysOnRecovery(t *testing.T) {
 		CallTimeout:       200 * time.Millisecond,
 	})
 	ctx := context.Background()
-	if err := c.Put(ctx, []byte("k"), []byte("v")); err != nil {
-		t.Fatalf("Put at ONE with one replica down: %v", err)
+	if err := put(ctx, c, []byte("k"), []byte("v")); err != nil {
+		t.Fatalf("BatchPut at ONE with one replica down: %v", err)
 	}
 	if hints := c.PendingHints(); hints["kv-1"] == 0 {
 		t.Fatal("no hint stored for the down replica")
@@ -345,89 +377,22 @@ func TestHintedHandoffReplaysOnRecovery(t *testing.T) {
 	t.Fatal("hint never replayed to recovered node")
 }
 
-func TestReadRepairConvergesReplicas(t *testing.T) {
-	nw := transport.NewMemNetwork()
-	n := 3
-	nodes := make([]*Node, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		node, err := NewNode(NodeConfig{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		addr := fmt.Sprintf("kv-%d", i)
-		l, err := nw.Listen(addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		node.Serve(l)
-		nodes[i], addrs[i] = node, addr
-	}
-	defer func() {
-		for _, nd := range nodes {
-			nd.Close()
-		}
-	}()
-	c := testCluster(t, nw, ClusterConfig{
-		Members: addrs, ReplicationFactor: 3,
-		WriteConsistency: One, ReadConsistency: All,
-	})
-	ctx := context.Background()
-	key := []byte("repair-me")
-
-	// Seed divergence: write directly to one node with a newer version.
-	if err := c.Put(ctx, key, []byte("stale")); err != nil {
-		t.Fatal(err)
-	}
-	newer := Entry{Value: []byte("fresh"), Version: c.nextVersion()}
-	for _, nd := range nodes[:1] {
-		nd.applyPut(key, newer)
-	}
-
-	got, err := c.Get(ctx, key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "fresh" {
-		t.Fatalf("Get = %q, want fresh (highest version wins)", got)
-	}
-	// Read repair is async; wait for propagation.
-	deadline := time.Now().Add(3 * time.Second)
-	for time.Now().Before(deadline) {
-		repaired := 0
-		for _, nd := range nodes {
-			if e, ok := nd.localGet(key); ok && bytes.Equal(e.Value, []byte("fresh")) {
-				repaired++
-			}
-		}
-		if repaired == n {
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatal("read repair did not converge all replicas")
-}
-
 func TestNodeStatsCounting(t *testing.T) {
 	nw := transport.NewMemNetwork()
-	addrs := testRing(t, nw, 1)
-	c := testCluster(t, nw, ClusterConfig{Members: addrs, ReplicationFactor: 1})
+	node := addNode(t, nw, "kv-0")
+	c := testCluster(t, nw, ClusterConfig{Members: []string{"kv-0"}, ReplicationFactor: 1})
 	ctx := context.Background()
 
-	if err := c.Put(ctx, []byte("a"), []byte("1")); err != nil {
+	if err := put(ctx, c, []byte("a"), []byte("1")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Get(ctx, []byte("a")); err != nil {
-		t.Fatal(err)
+	if found, err := c.BatchHas(ctx, [][]byte{[]byte("a")}); err != nil || !found[0] {
+		t.Fatalf("BatchHas(a) = %v, %v", found, err)
 	}
-	if _, err := c.Get(ctx, []byte("b")); !errors.Is(err, ErrNotFound) {
-		t.Fatal(err)
+	if found, err := c.BatchHas(ctx, [][]byte{[]byte("b")}); err != nil || found[0] {
+		t.Fatalf("BatchHas(b) = %v, %v", found, err)
 	}
-	stats, err := c.MemberStats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := stats[addrs[0]]
+	s := node.Stats()
 	if s.Puts != 1 || s.Gets != 2 || s.Hits != 1 || s.Misses != 1 || s.Entries != 1 {
 		t.Fatalf("stats = %+v", s)
 	}
@@ -450,7 +415,7 @@ func TestWALPersistence(t *testing.T) {
 	c := testCluster(t, nw, ClusterConfig{Members: []string{"kv-0"}, ReplicationFactor: 1})
 	ctx := context.Background()
 	for i := 0; i < 10; i++ {
-		if err := c.Put(ctx, []byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+		if err := put(ctx, c, []byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -546,28 +511,36 @@ func TestConsistencyRequired(t *testing.T) {
 	}
 }
 
-// TestPropertyQuorumReadYourWrites: with R+W > N, a read after a write
-// always sees the written value, for random key/value pairs.
+// TestPropertyQuorumReadYourWrites: a write acknowledged at QUORUM
+// leaves the written value, at the newest version, on at least a quorum
+// of replicas — so any read of R replicas with R+W > N sees it — for
+// random key/value pairs.
 func TestPropertyQuorumReadYourWrites(t *testing.T) {
 	nw := transport.NewMemNetwork()
 	addrs := testRing(t, nw, 3)
 	c := testCluster(t, nw, ClusterConfig{
-		Members: addrs, ReplicationFactor: 3,
-		ReadConsistency: Quorum, WriteConsistency: Quorum,
+		Members: addrs, ReplicationFactor: 3, WriteConsistency: Quorum,
 	})
 	ctx := context.Background()
 	f := func(key, value []byte) bool {
 		if len(key) == 0 {
 			return true
 		}
-		if err := c.Put(ctx, key, value); err != nil {
+		if err := put(ctx, c, key, value); err != nil {
 			return false
 		}
-		got, err := c.Get(ctx, key)
-		if err != nil {
+		newest, ok := readKey(t, c, key)
+		if !ok || !bytes.Equal(newest.Value, value) {
 			return false
 		}
-		return bytes.Equal(got, value)
+		reps := c.replicas(key)
+		holders := 0
+		for _, addr := range reps {
+			if e, ok := scanMember(t, c, addr)[string(key)]; ok && e.Version == newest.Version && bytes.Equal(e.Value, value) {
+				holders++
+			}
+		}
+		return holders >= Quorum.required(len(reps))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
@@ -617,7 +590,7 @@ func TestDecodeRejectsTruncated(t *testing.T) {
 	if _, err := decodeKeyList([]byte{0}); err == nil {
 		t.Error("truncated key list decoded")
 	}
-	if _, err := decodeStats([]byte{1, 2}); err == nil {
-		t.Error("short stats decoded")
+	if _, err := decodeRecords([]byte{0, 0, 0, 1}); err == nil {
+		t.Error("truncated record list decoded")
 	}
 }

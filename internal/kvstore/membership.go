@@ -2,7 +2,6 @@ package kvstore
 
 import (
 	"context"
-	"encoding/binary"
 	"fmt"
 )
 
@@ -14,8 +13,9 @@ import (
 // after churn.
 
 // AddMember joins a new storage node to the ring. Keys are not moved
-// until Rebalance runs; until then reads fall back through the old
-// replicas (lookup fallback), so the operation is non-disruptive.
+// until Rebalance (or an anti-entropy round) runs; until then a lookup
+// routed to the new node misses, which costs the agent one redundant
+// upload, never a wrong answer.
 func (c *Cluster) AddMember(addr string) error {
 	if addr == "" {
 		return fmt.Errorf("%w: empty member address", ErrConfig)
@@ -64,63 +64,36 @@ func (c *Cluster) RemoveMember(addr string) error {
 	return nil
 }
 
-// Rebalance scans every reachable member and re-replicates each key to
-// its current replica set, restoring placement after membership changes.
-// Entries keep their versions, so last-write-wins semantics are
-// preserved and re-running Rebalance is idempotent.
+// Rebalance scans every reachable member and re-replicates each key's
+// newest entry to its current replica set, restoring placement after
+// membership changes. Entries keep their versions, so last-write-wins
+// semantics are preserved and re-running Rebalance is idempotent. The
+// writes go out as one kv.batchput per replica node.
 func (c *Cluster) Rebalance(ctx context.Context) error {
-	members := c.Members()
-
-	seen := make(map[string]uint64) // key -> newest version already pushed
-	for _, addr := range members {
+	newest := make(map[string]Entry)
+	for _, addr := range c.Members() {
 		resp, err := c.call(ctx, addr, methodScan, nil)
 		if err != nil {
 			// An unreachable member's data is covered by its replicas'
 			// scans; skip it.
 			continue
 		}
-		entries, err := decodeScan(resp)
+		recs, err := decodeRecords(resp)
 		if err != nil {
 			return fmt.Errorf("kvstore: rebalance scan %s: %w", addr, err)
 		}
-		for _, kv := range entries {
-			if v, ok := seen[string(kv.key)]; ok && v >= kv.e.Version {
-				continue
-			}
-			seen[string(kv.key)] = kv.e.Version
-			if err := c.putEntry(ctx, kv.key, kv.e); err != nil {
-				return fmt.Errorf("kvstore: rebalance key: %w", err)
+		for _, r := range recs {
+			if old, ok := newest[string(r.key)]; !ok || r.e.Version > old.Version {
+				newest[string(r.key)] = r.e
 			}
 		}
+	}
+	recs := make([]record, 0, len(newest))
+	for k, e := range newest {
+		recs = append(recs, record{key: []byte(k), e: e})
+	}
+	if err := c.putRecords(ctx, recs); err != nil {
+		return fmt.Errorf("kvstore: rebalance: %w", err)
 	}
 	return nil
-}
-
-type scannedEntry struct {
-	key []byte
-	e   Entry
-}
-
-// decodeScan parses a kv.scan response.
-func decodeScan(body []byte) ([]scannedEntry, error) {
-	if len(body) < 4 {
-		return nil, fmt.Errorf("%w: truncated scan response", ErrProto)
-	}
-	count := int(binary.BigEndian.Uint32(body))
-	src := body[4:]
-	// Each record costs at least 16 bytes (two length prefixes + version);
-	// reject counts the payload cannot hold before allocating.
-	if count > len(src)/16+1 {
-		return nil, fmt.Errorf("%w: scan count %d exceeds payload", ErrProto, count)
-	}
-	out := make([]scannedEntry, 0, count)
-	for i := 0; i < count; i++ {
-		key, e, rest, err := decodeEntry(src)
-		if err != nil {
-			return nil, fmt.Errorf("kvstore: scan record %d: %w", i, err)
-		}
-		out = append(out, scannedEntry{key: key, e: e})
-		src = rest
-	}
-	return out, nil
 }

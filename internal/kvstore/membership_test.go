@@ -1,10 +1,12 @@
 package kvstore
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
 
+	"efdedup/internal/metrics"
 	"efdedup/internal/transport"
 )
 
@@ -48,6 +50,36 @@ func TestRemoveMemberValidation(t *testing.T) {
 	}
 }
 
+// putKeys writes n keys named by format through one BatchPut and
+// returns them.
+func putKeys(t *testing.T, c *Cluster, format string, n int) [][]byte {
+	t.Helper()
+	keys := make([][]byte, n)
+	values := make([][]byte, n)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf(format, i))
+		values[i] = []byte("v")
+	}
+	if err := c.BatchPut(context.Background(), keys, values); err != nil {
+		t.Fatal(err)
+	}
+	return keys
+}
+
+// assertAllFound fails unless BatchHas finds every key.
+func assertAllFound(t *testing.T, c *Cluster, keys [][]byte, when string) {
+	t.Helper()
+	found, err := c.BatchHas(context.Background(), keys)
+	if err != nil {
+		t.Fatalf("BatchHas %s: %v", when, err)
+	}
+	for i, ok := range found {
+		if !ok {
+			t.Fatalf("key %s lost %s", keys[i], when)
+		}
+	}
+}
+
 // TestAddMemberAndRebalance grows the ring and verifies the new node ends
 // up holding its share of the keys.
 func TestAddMemberAndRebalance(t *testing.T) {
@@ -58,11 +90,7 @@ func TestAddMemberAndRebalance(t *testing.T) {
 	})
 	ctx := context.Background()
 	const keys = 200
-	for i := 0; i < keys; i++ {
-		if err := c.Put(ctx, []byte(fmt.Sprintf("key-%03d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
+	written := putKeys(t, c, "key-%03d", keys)
 
 	newNode := addNode(t, nw, "kv-new")
 	if err := c.AddMember("kv-new"); err != nil {
@@ -71,10 +99,17 @@ func TestAddMemberAndRebalance(t *testing.T) {
 	if len(c.Members()) != 4 {
 		t.Fatalf("members = %v", c.Members())
 	}
-	// Reads keep working before any data movement (fallback replicas).
+	// No key is lost before any data movement: the old replicas still
+	// hold every one.
+	held := make(map[string]bool)
+	for _, addr := range addrs {
+		for k := range scanMember(t, c, addr) {
+			held[k] = true
+		}
+	}
 	for i := 0; i < keys; i += 20 {
-		if _, err := c.Get(ctx, []byte(fmt.Sprintf("key-%03d", i))); err != nil {
-			t.Fatalf("read during membership change: %v", err)
+		if !held[string(written[i])] {
+			t.Fatalf("key %s unreadable during membership change", written[i])
 		}
 	}
 	if err := c.Rebalance(ctx); err != nil {
@@ -85,11 +120,7 @@ func TestAddMemberAndRebalance(t *testing.T) {
 		t.Errorf("new node holds %d keys after rebalance, want a meaningful share", got)
 	}
 	// All keys still readable.
-	for i := 0; i < keys; i++ {
-		if _, err := c.Get(ctx, []byte(fmt.Sprintf("key-%03d", i))); err != nil {
-			t.Fatalf("key %d lost after rebalance: %v", i, err)
-		}
-	}
+	assertAllFound(t, c, written, "after rebalance")
 }
 
 // TestRemoveMemberAndRebalance decommissions a node and verifies
@@ -108,12 +139,7 @@ func TestRemoveMemberAndRebalance(t *testing.T) {
 		Members: addrs, ReplicationFactor: 2, WriteConsistency: All,
 	})
 	ctx := context.Background()
-	const keys = 200
-	for i := 0; i < keys; i++ {
-		if err := c.Put(ctx, []byte(fmt.Sprintf("key-%03d", i)), []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
+	written := putKeys(t, c, "key-%03d", 200)
 	// Decommission node 2: remove from ring, rebalance, then kill it.
 	if err := c.RemoveMember(addrs[2]); err != nil {
 		t.Fatal(err)
@@ -122,11 +148,7 @@ func TestRemoveMemberAndRebalance(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes[2].Close()
-	for i := 0; i < keys; i++ {
-		if _, err := c.Get(ctx, []byte(fmt.Sprintf("key-%03d", i))); err != nil {
-			t.Fatalf("key %d unreadable after decommission: %v", i, err)
-		}
-	}
+	assertAllFound(t, c, written, "after decommission")
 }
 
 func TestRebalanceIdempotent(t *testing.T) {
@@ -134,29 +156,120 @@ func TestRebalanceIdempotent(t *testing.T) {
 	addrs := testRing(t, nw, 3)
 	c := testCluster(t, nw, ClusterConfig{Members: addrs, ReplicationFactor: 2})
 	ctx := context.Background()
-	for i := 0; i < 50; i++ {
-		if err := c.Put(ctx, []byte(fmt.Sprintf("k%d", i)), []byte("v")); err != nil {
+	putKeys(t, c, "k%d", 50)
+	entries := func() map[string]int {
+		out := make(map[string]int, len(addrs))
+		for _, addr := range addrs {
+			out[addr] = len(scanMember(t, c, addr))
+		}
+		return out
+	}
+	if err := c.Rebalance(ctx); err != nil {
+		t.Fatal(err)
+	}
+	stats1 := entries()
+	if err := c.Rebalance(ctx); err != nil {
+		t.Fatal(err)
+	}
+	stats2 := entries()
+	for addr := range stats1 {
+		if stats1[addr] != stats2[addr] {
+			t.Errorf("%s entry count changed on idempotent rebalance: %d -> %d",
+				addr, stats1[addr], stats2[addr])
+		}
+	}
+}
+
+// rpcCounts reads how many calls per kv method a coordinator's registry
+// recorded in kvstore_client_rpc_seconds.
+func rpcCounts(reg *metrics.Registry) map[string]int64 {
+	out := make(map[string]int64, len(clientMethods))
+	for _, m := range clientMethods {
+		out[m] = reg.DurationHistogram("kvstore_client_rpc_seconds", "method", m).Snapshot().Count
+	}
+	return out
+}
+
+// TestRebalanceKeepsVersionsAndBatchesWrites: Rebalance re-replicates
+// each key's newest scanned entry at that entry's own version — so a
+// later write from any coordinator still wins — and sends its writes as
+// at most one kv.batchput per member instead of one RPC per key.
+func TestRebalanceKeepsVersionsAndBatchesWrites(t *testing.T) {
+	nw := transport.NewMemNetwork()
+	addrs, nodes := repairRing(t, nw, 3)
+	byAddr := map[string]*Node{}
+	for i, a := range addrs {
+		byAddr[a] = nodes[i]
+	}
+	reg := metrics.NewRegistry()
+	c := testCluster(t, nw, ClusterConfig{
+		Members: addrs, ReplicationFactor: 2, WriteConsistency: All, Metrics: reg,
+	})
+	ctx := context.Background()
+	written := putKeys(t, c, "key-%03d", 120)
+	// Overwrite a third of the keys, then leave one replica of key-000
+	// holding a stale version: Rebalance must spread the newest entry,
+	// not whichever replica it scanned first.
+	for i := 0; i < len(written); i += 3 {
+		if err := put(ctx, c, written[i], []byte("v2")); err != nil {
 			t.Fatal(err)
 		}
 	}
+	stale := written[0]
+	behind := byAddr[c.replicas(stale)[0]]
+	behind.mu.Lock()
+	behind.table[string(stale)] = Entry{Value: []byte("stale"), Version: 1}
+	behind.mu.Unlock()
+	before := make(map[string]Entry, len(written))
+	for _, k := range written {
+		e, ok := readKey(t, c, k)
+		if !ok {
+			t.Fatalf("key %s missing before rebalance", k)
+		}
+		before[string(k)] = e
+	}
+
+	byAddr["kv-new"] = addNode(t, nw, "kv-new")
+	if err := c.AddMember("kv-new"); err != nil {
+		t.Fatal(err)
+	}
+	calls0 := rpcCounts(reg)
 	if err := c.Rebalance(ctx); err != nil {
 		t.Fatal(err)
 	}
-	stats1, err := c.MemberStats(ctx)
-	if err != nil {
+	calls1 := rpcCounts(reg)
+	members := int64(len(c.Members()))
+	batchPuts := calls1[methodBatchPut] - calls0[methodBatchPut]
+	if batchPuts < 1 || batchPuts > members {
+		t.Fatalf("rebalance sent %d kv.batchput calls, want between 1 and %d (one per member)", batchPuts, members)
+	}
+	for m, n := range calls1 {
+		if d := n - calls0[m]; d != 0 && m != methodBatchPut && m != methodScan {
+			t.Fatalf("rebalance sent %d %s calls; its writes must ride kv.batchput", d, m)
+		}
+	}
+
+	// Every replica in the new placement holds each key's pre-rebalance
+	// newest entry, version unchanged.
+	for _, k := range written {
+		want := before[string(k)]
+		for _, addr := range c.replicas(k) {
+			got, ok := byAddr[addr].localGet(k)
+			if !ok || got.Version != want.Version || !bytes.Equal(got.Value, want.Value) {
+				t.Fatalf("%s holds %s as %q@%d (present %v), want %q@%d",
+					addr, k, got.Value, got.Version, ok, want.Value, want.Version)
+			}
+		}
+	}
+	// Last-write-wins still holds after churn: a fresh coordinator's write
+	// beats the rebalanced entry on every replica.
+	c2 := testCluster(t, nw, ClusterConfig{Members: c.Members(), ReplicationFactor: 2, WriteConsistency: All})
+	if err := put(ctx, c2, stale, []byte("v3")); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Rebalance(ctx); err != nil {
-		t.Fatal(err)
-	}
-	stats2, err := c.MemberStats(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for addr := range stats1 {
-		if stats1[addr].Entries != stats2[addr].Entries {
-			t.Errorf("%s entry count changed on idempotent rebalance: %d -> %d",
-				addr, stats1[addr].Entries, stats2[addr].Entries)
+	for _, addr := range c.replicas(stale) {
+		if got, _ := byAddr[addr].localGet(stale); string(got.Value) != "v3" {
+			t.Fatalf("%s holds %q after a post-rebalance write, want v3", addr, got.Value)
 		}
 	}
 }

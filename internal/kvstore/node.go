@@ -1,8 +1,6 @@
 package kvstore
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -15,14 +13,10 @@ import (
 
 // RPC method names served by a storage node.
 const (
-	methodGet      = "kv.get"
-	methodPut      = "kv.put"
-	methodPutNX    = "kv.putnx"
 	methodBatchHas = "kv.batchhas"
 	methodBatchPut = "kv.batchput"
 	methodScan     = "kv.scan"
 	methodPing     = "kv.ping"
-	methodStats    = "kv.stats"
 	methodDigest   = "kv.digest"
 	methodPull     = "kv.pull"
 )
@@ -158,14 +152,10 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 		}
 	}
 	n.server = transport.NewServer()
-	n.handle(methodGet, n.handleGet)
-	n.handle(methodPut, n.handlePut)
-	n.handle(methodPutNX, n.handlePutNX)
 	n.handle(methodBatchHas, n.handleBatchHas)
 	n.handle(methodBatchPut, n.handleBatchPut)
 	n.handle(methodScan, n.handleScan)
 	n.handle(methodPing, func([]byte) ([]byte, error) { return []byte("pong"), nil })
-	n.handle(methodStats, n.handleStats)
 	n.handle(methodDigest, n.handleDigest)
 	n.handle(methodPull, n.handlePull)
 	return n, nil
@@ -185,7 +175,7 @@ func (n *Node) handle(method string, h func([]byte) ([]byte, error)) {
 		sp := metrics.StartTimer(hist)
 		resp, err := h(body)
 		sp.End()
-		if err != nil && !errors.Is(err, ErrNotFound) {
+		if err != nil {
 			fails.Inc()
 		}
 		return resp, err
@@ -354,85 +344,7 @@ func (n *Node) applyPut(key []byte, e Entry) bool {
 	return true
 }
 
-// localGet reads an entry from the table.
-func (n *Node) localGet(key []byte) (Entry, bool) {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	e, ok := n.table[string(key)]
-	return e, ok
-}
-
 // --- handlers ----------------------------------------------------------
-
-func (n *Node) handleGet(body []byte) ([]byte, error) {
-	n.gets.Add(1)
-	e, ok := n.localGet(body)
-	if !ok {
-		n.misses.Add(1)
-		return nil, ErrNotFound
-	}
-	n.hits.Add(1)
-	out := binary.BigEndian.AppendUint64(nil, e.Version)
-	return append(out, e.Value...), nil
-}
-
-func (n *Node) handlePut(body []byte) ([]byte, error) {
-	n.puts.Add(1)
-	key, e, _, err := decodeEntry(body)
-	if err != nil {
-		return nil, err
-	}
-	n.putMu.RLock()
-	if n.wal != nil {
-		if err := n.wal.Append(key, e); err != nil {
-			n.putMu.RUnlock()
-			return nil, err
-		}
-	}
-	n.applyPut(key, e)
-	n.putMu.RUnlock()
-	n.maybeSnapshot()
-	return nil, nil
-}
-
-// handlePutNX stores the entry only when the key is absent, returning a
-// single byte: 1 when the key already existed, 0 when stored. The log
-// append happens before the table insert — same order as handlePut — so
-// a crash between the two can lose an unacknowledged insert but never
-// acknowledge an unlogged one.
-func (n *Node) handlePutNX(body []byte) ([]byte, error) {
-	n.puts.Add(1)
-	key, e, _, err := decodeEntry(body)
-	if err != nil {
-		return nil, err
-	}
-	if _, exists := n.localGet(key); exists {
-		return []byte{1}, nil
-	}
-	n.putMu.RLock()
-	if n.wal != nil {
-		if err := n.wal.Append(key, e); err != nil {
-			n.putMu.RUnlock()
-			return nil, err
-		}
-	}
-	k := string(key)
-	n.mu.Lock()
-	_, exists := n.table[k]
-	if !exists {
-		n.table[k] = e
-	}
-	n.mu.Unlock()
-	n.putMu.RUnlock()
-	if exists {
-		// Lost the race after the existence check: the WAL record is
-		// harmless — replay applies last-write-wins, and the stored
-		// entry's version beats or equals ours.
-		return []byte{1}, nil
-	}
-	n.maybeSnapshot()
-	return []byte{0}, nil
-}
 
 // handleBatchHas answers membership for a key list with one byte per key.
 func (n *Node) handleBatchHas(body []byte) ([]byte, error) {
@@ -459,79 +371,39 @@ func (n *Node) handleBatchHas(body []byte) ([]byte, error) {
 	return out, nil
 }
 
-// handleBatchPut stores a count-prefixed sequence of key+entry records.
+// handleBatchPut stores a record list. The whole body is decoded before
+// the first WAL append, so a malformed batch is refused with nothing
+// logged or applied.
 func (n *Node) handleBatchPut(body []byte) ([]byte, error) {
-	if len(body) < 4 {
-		return nil, fmt.Errorf("%w: truncated batch", ErrProto)
+	recs, err := decodeRecords(body)
+	if err != nil {
+		return nil, err
 	}
-	count := binary.BigEndian.Uint32(body)
-	src := body[4:]
 	n.putMu.RLock()
-	for i := uint32(0); i < count; i++ {
-		key, e, rest, err := decodeEntry(src)
-		if err != nil {
-			n.putMu.RUnlock()
-			return nil, fmt.Errorf("kvstore: batch record %d: %w", i, err)
-		}
+	for _, r := range recs {
 		if n.wal != nil {
-			if err := n.wal.Append(key, e); err != nil {
+			if err := n.wal.Append(r.key, r.e); err != nil {
 				n.putMu.RUnlock()
 				return nil, err
 			}
 		}
-		n.applyPut(key, e)
-		src = rest
+		n.applyPut(r.key, r.e)
 	}
 	n.putMu.RUnlock()
-	n.puts.Add(int64(count))
+	n.puts.Add(int64(len(recs)))
 	n.maybeSnapshot()
 	return nil, nil
 }
 
-// handleScan returns every entry as a count-prefixed record sequence.
-// The dedup index is small (hashes only), so a full snapshot is fine; a
-// production system would paginate.
+// handleScan returns every entry as a record list. The dedup index is
+// small (hashes only), so a full snapshot is fine; a production system
+// would paginate.
 func (n *Node) handleScan([]byte) ([]byte, error) {
 	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return encodeScan(n.table), nil
-}
-
-// encodeScan serializes a table snapshot as the count-prefixed record
-// sequence decodeScan consumes.
-func encodeScan(table map[string]Entry) []byte {
-	out := binary.BigEndian.AppendUint32(nil, uint32(len(table)))
-	for k, e := range table {
-		out = encodeEntry(out, []byte(k), e)
+	recs := make([]record, 0, len(n.table))
+	for k, e := range n.table {
+		recs = append(recs, record{key: []byte(k), e: e})
 	}
-	return out
-}
-
-func (n *Node) handleStats([]byte) ([]byte, error) {
-	return encodeStats(n.Stats()), nil
-}
-
-// encodeStats serializes node counters as the five u64 words
-// decodeStats reads back.
-func encodeStats(s NodeStats) []byte {
-	out := make([]byte, 0, 40)
-	out = binary.BigEndian.AppendUint64(out, uint64(s.Gets))
-	out = binary.BigEndian.AppendUint64(out, uint64(s.Puts))
-	out = binary.BigEndian.AppendUint64(out, uint64(s.Hits))
-	out = binary.BigEndian.AppendUint64(out, uint64(s.Misses))
-	out = binary.BigEndian.AppendUint64(out, uint64(s.Entries))
-	return out
-}
-
-func decodeStats(body []byte) (NodeStats, error) {
-	if len(body) != 40 {
-		return NodeStats{}, fmt.Errorf("%w: stats payload of %d bytes, want 40", ErrProto, len(body))
-	}
-	return NodeStats{
-		Gets:    int64(binary.BigEndian.Uint64(body[0:])),
-		Puts:    int64(binary.BigEndian.Uint64(body[8:])),
-		Hits:    int64(binary.BigEndian.Uint64(body[16:])),
-		Misses:  int64(binary.BigEndian.Uint64(body[24:])),
-		Entries: int64(binary.BigEndian.Uint64(body[32:])),
-	}, nil
+	n.mu.RUnlock()
+	return encodeRecords(recs), nil
 }

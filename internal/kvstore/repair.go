@@ -270,8 +270,8 @@ func (n *Node) handleDigest(body []byte) ([]byte, error) {
 	return encodeDigestResp(d), nil
 }
 
-// handlePull streams the full entries of the requested buckets (scan
-// wire format), scope-filtered like the digest they were chosen from.
+// handlePull returns the full entries of the requested buckets as a
+// record list, scope-filtered like the digest they were chosen from.
 func (n *Node) handlePull(body []byte) ([]byte, error) {
 	req, want, err := decodePullReq(body)
 	if err != nil {
@@ -281,10 +281,8 @@ func (n *Node) handlePull(body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	var recs []record
 	n.mu.RLock()
-	defer n.mu.RUnlock()
-	count := uint32(0)
-	out := make([]byte, 4)
 	for k, e := range n.table {
 		if !req.inScope(ring, []byte(k)) {
 			continue
@@ -292,11 +290,10 @@ func (n *Node) handlePull(body []byte) ([]byte, error) {
 		if b, _ := entryDigest(k, e); !want.has(b) {
 			continue
 		}
-		out = encodeEntry(out, []byte(k), e)
-		count++
+		recs = append(recs, record{key: []byte(k), e: e})
 	}
-	binary.BigEndian.PutUint32(out, count)
-	return out, nil
+	n.mu.RUnlock()
+	return encodeRecords(recs), nil
 }
 
 // --- coordinator repair -------------------------------------------------
@@ -412,13 +409,13 @@ func (c *Cluster) pullEntries(ctx context.Context, addr string, body []byte) (ma
 	if err != nil {
 		return nil, err
 	}
-	ents, err := decodeScan(resp)
+	recs, err := decodeRecords(resp)
 	if err != nil {
 		return nil, fmt.Errorf("kvstore: repair pull %s: %w", addr, err)
 	}
-	out := make(map[string]Entry, len(ents))
-	for _, kv := range ents {
-		out[string(kv.key)] = kv.e
+	out := make(map[string]Entry, len(recs))
+	for _, r := range recs {
+		out[string(r.key)] = r.e
 	}
 	return out, nil
 }
@@ -429,12 +426,12 @@ func (c *Cluster) pullEntries(ctx context.Context, addr string, body []byte) (ma
 // version) cannot be fixed at its own version — applyPut rejects
 // version ties — so the deterministic winner (larger value bytes) is
 // re-written to both sides at version+1, which converges.
-func diffEntries(a, b map[string]Entry) (pushA, pushB []scannedEntry, conflicts int) {
+func diffEntries(a, b map[string]Entry) (pushA, pushB []record, conflicts int) {
 	for k, ea := range a {
 		eb, ok := b[k]
 		switch {
 		case !ok || eb.Version < ea.Version:
-			pushB = append(pushB, scannedEntry{key: []byte(k), e: ea})
+			pushB = append(pushB, record{key: []byte(k), e: ea})
 		case eb.Version == ea.Version && !bytes.Equal(eb.Value, ea.Value):
 			conflicts++
 			win := ea
@@ -442,14 +439,14 @@ func diffEntries(a, b map[string]Entry) (pushA, pushB []scannedEntry, conflicts 
 				win = eb
 			}
 			win.Version++
-			se := scannedEntry{key: []byte(k), e: win}
+			se := record{key: []byte(k), e: win}
 			pushA = append(pushA, se)
 			pushB = append(pushB, se)
 		}
 	}
 	for k, eb := range b {
 		if ea, ok := a[k]; !ok || ea.Version < eb.Version {
-			pushA = append(pushA, scannedEntry{key: []byte(k), e: eb})
+			pushA = append(pushA, record{key: []byte(k), e: eb})
 		}
 	}
 	return pushA, pushB, conflicts
@@ -457,18 +454,13 @@ func diffEntries(a, b map[string]Entry) (pushA, pushB []scannedEntry, conflicts 
 
 // pushEntries delivers repair entries to one replica in batchput batches,
 // preserving versions so last-write-wins holds.
-func (c *Cluster) pushEntries(ctx context.Context, addr string, ents []scannedEntry) error {
-	for start := 0; start < len(ents); start += hintReplayBatch {
+func (c *Cluster) pushEntries(ctx context.Context, addr string, recs []record) error {
+	for start := 0; start < len(recs); start += hintReplayBatch {
 		end := start + hintReplayBatch
-		if end > len(ents) {
-			end = len(ents)
+		if end > len(recs) {
+			end = len(recs)
 		}
-		batch := ents[start:end]
-		body := binary.BigEndian.AppendUint32(nil, uint32(len(batch)))
-		for _, kv := range batch {
-			body = encodeEntry(body, kv.key, kv.e)
-		}
-		if _, err := c.call(ctx, addr, methodBatchPut, body); err != nil {
+		if _, err := c.call(ctx, addr, methodBatchPut, encodeRecords(recs[start:end])); err != nil {
 			return err
 		}
 	}

@@ -71,7 +71,7 @@ func TestRepairConvergesWipedReplica(t *testing.T) {
 	var keys [][]byte
 	for i := 0; i < 64; i++ {
 		k := []byte(fmt.Sprintf("chunk-%03d", i))
-		if err := c.Put(ctx, k, []byte(fmt.Sprintf("meta-%d", i))); err != nil {
+		if err := put(ctx, c, k, []byte(fmt.Sprintf("meta-%d", i))); err != nil {
 			t.Fatal(err)
 		}
 		keys = append(keys, k)
@@ -213,7 +213,7 @@ func TestRepairAfterMembershipChange(t *testing.T) {
 	var keys [][]byte
 	for i := 0; i < 48; i++ {
 		k := []byte(fmt.Sprintf("chunk-%03d", i))
-		if err := c.Put(ctx, k, []byte("meta")); err != nil {
+		if err := put(ctx, c, k, []byte("meta")); err != nil {
 			t.Fatal(err)
 		}
 		keys = append(keys, k)

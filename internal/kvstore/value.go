@@ -7,9 +7,10 @@
 //   - Node: one storage replica (in-memory table, optional write-ahead
 //     log) exposed over the transport RPC protocol;
 //   - Cluster: a client-side coordinator that places keys with consistent
-//     hashing, replicates writes to γ nodes, reads at a configurable
-//     consistency level (ONE / QUORUM / ALL), performs read repair and
-//     hinted handoff, and keeps per-peer health with heartbeats.
+//     hashing, answers batched membership probes, replicates batched
+//     writes to γ nodes at a configurable write consistency (ONE /
+//     QUORUM / ALL), delivers writes a replica missed by hinted handoff
+//     and Merkle anti-entropy, and keeps per-peer health with heartbeats.
 //
 // Conflicts resolve by last-write-wins on a (version, coordinator) pair.
 // This matches the needs of a dedup index: values are tiny chunk-metadata
@@ -22,9 +23,6 @@ import (
 	"errors"
 	"fmt"
 )
-
-// ErrNotFound is returned by reads of missing keys.
-var ErrNotFound = errors.New("kvstore: key not found")
 
 // ErrProto marks malformed or truncated wire payloads: the peer sent
 // bytes the protocol cannot decode, so the retry layer must not spend
@@ -74,7 +72,8 @@ func readBytes(src []byte) (val, rest []byte, err error) {
 	return src[4 : 4+n], src[4+n:], nil
 }
 
-// encodeEntry serializes key+entry for put requests and scan streams.
+// encodeEntry serializes one key+entry: a record-list element and a WAL
+// record payload.
 func encodeEntry(dst []byte, key []byte, e Entry) []byte {
 	dst = appendBytes(dst, key)
 	dst = binary.BigEndian.AppendUint64(dst, e.Version)
@@ -97,6 +96,58 @@ func decodeEntry(src []byte) (key []byte, e Entry, rest []byte, err error) {
 		return nil, Entry{}, nil, err
 	}
 	return key, e, rest, nil
+}
+
+// record is one key+entry on the wire: an element of a kv.batchput
+// request, a kv.scan or kv.pull response, and a queued hint.
+type record struct {
+	key []byte
+	e   Entry
+}
+
+// encodeRecords serializes a record list — the kv.batchput request and
+// the kv.scan / kv.pull response. The body is sized up front, so it is
+// allocated once.
+func encodeRecords(recs []record) []byte {
+	n := 4
+	for _, r := range recs {
+		n += 16 + len(r.key) + len(r.e.Value)
+	}
+	out := make([]byte, 0, n)
+	out = binary.BigEndian.AppendUint32(out, uint32(len(recs)))
+	for _, r := range recs {
+		out = encodeEntry(out, r.key, r.e)
+	}
+	return out
+}
+
+// decodeRecords parses a record list; the body must hold exactly count
+// records. Keys and values alias the body, so the record slice is the
+// only allocation.
+func decodeRecords(body []byte) ([]record, error) {
+	if len(body) < 4 {
+		return nil, fmt.Errorf("%w: truncated record list", ErrProto)
+	}
+	count := binary.BigEndian.Uint32(body)
+	src := body[4:]
+	// Each record costs at least 16 bytes (two length prefixes + version);
+	// reject counts the payload cannot hold before allocating.
+	if uint64(count) > uint64(len(src))/16 {
+		return nil, fmt.Errorf("%w: record count %d exceeds what %d bytes can hold", ErrProto, count, len(src))
+	}
+	out := make([]record, count)
+	for i := range out {
+		key, e, rest, err := decodeEntry(src)
+		if err != nil {
+			return nil, fmt.Errorf("kvstore: record %d: %w", i, err)
+		}
+		out[i] = record{key: key, e: e}
+		src = rest
+	}
+	if len(src) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes after %d records", ErrProto, len(src), count)
+	}
+	return out, nil
 }
 
 // encodeKeyList serializes a count-prefixed list of keys.

@@ -84,11 +84,10 @@ func IsRemoteError(err error) bool {
 func Retryable(err error) bool { return !IsRemoteError(err) }
 
 // writeFrame writes one length-prefixed frame. Callers must serialize.
-func writeFrame(w io.Writer, payload []byte) error {
+func writeFrame(w io.Writer, hdr *[4]byte, payload []byte) error {
 	if len(payload) > MaxFrameSize {
 		return fmt.Errorf("%w: frame of %d bytes exceeds limit", ErrProto, len(payload))
 	}
-	var hdr [4]byte
 	binary.BigEndian.PutUint32(hdr[:], uint32(len(payload)))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
@@ -143,16 +142,16 @@ func encodeRequest(id uint64, method string, body []byte) ([]byte, error) {
 	return buf, nil
 }
 
-func decodeRequest(p []byte) (id uint64, method string, body []byte, err error) {
+func decodeRequest(p []byte) (id uint64, method, body []byte, err error) {
 	if len(p) < 10 || p[0] != frameRequest {
-		return 0, "", nil, fmt.Errorf("%w: malformed request frame", ErrProto)
+		return 0, nil, nil, fmt.Errorf("%w: malformed request frame", ErrProto)
 	}
 	id = binary.BigEndian.Uint64(p[1:9])
 	ml := int(p[9])
 	if len(p) < 10+ml {
-		return 0, "", nil, fmt.Errorf("%w: truncated request frame", ErrProto)
+		return 0, nil, nil, fmt.Errorf("%w: truncated request frame", ErrProto)
 	}
-	return id, string(p[10 : 10+ml]), p[10+ml:], nil
+	return id, p[10 : 10+ml], p[10+ml:], nil
 }
 
 func encodeResponse(id uint64, body []byte, remoteErr string) []byte {
@@ -263,6 +262,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 	}()
 	var writeMu sync.Mutex
+	var hdr [4]byte
 	var pending sync.WaitGroup
 	defer pending.Wait()
 	for {
@@ -275,7 +275,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		s.mu.Lock()
-		fn := s.handlers[method]
+		fn := s.handlers[string(method)]
 		s.mu.Unlock()
 		pending.Add(1)
 		go func() {
@@ -294,7 +294,7 @@ func (s *Server) serveConn(conn net.Conn) {
 			// A write failure means the peer is gone; the read loop
 			// will terminate on its own.
 			//lint:ignore lockedio,errlost writeMu exists to serialize response frames on this conn; a failed response write means the peer is gone and the read loop exits on its own
-			_ = writeFrame(conn, encodeResponse(id, respBody, errMsg))
+			_ = writeFrame(conn, &hdr, encodeResponse(id, respBody, errMsg))
 		}()
 	}
 }
@@ -343,6 +343,7 @@ func (s *Server) Close() error {
 type Client struct {
 	conn    net.Conn
 	writeMu sync.Mutex
+	hdr     [4]byte // frame header scratch, guarded by writeMu
 
 	mu      sync.Mutex
 	nextID  uint64
@@ -437,7 +438,7 @@ func (c *Client) Call(ctx context.Context, method string, body []byte) ([]byte, 
 		})
 	}
 	//lint:ignore lockedio writeMu exists to serialize request frames on this conn; it guards the write itself
-	err = writeFrame(c.conn, req)
+	err = writeFrame(c.conn, &c.hdr, req)
 	stop()
 	c.writeMu.Unlock()
 	if err != nil {

@@ -245,7 +245,7 @@ func TestFrameCodecProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		return gid == id && gm == method && bytes.Equal(gb, body)
+		return gid == id && string(gm) == method && bytes.Equal(gb, body)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
